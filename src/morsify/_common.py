@@ -1,4 +1,4 @@
-"""Shared search-budget and verdict types used by the equivalence searches.
+"""Shared search-budget and verdict types, and the text-format line reader.
 
 Every semi-decidable search in this package (braid isotopy, quiver mutation
 equivalence, plabic move equivalence) returns one of three verdicts:
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterator
 
 
 @dataclass(frozen=True)
@@ -68,3 +68,40 @@ class Unknown:
 
 
 Verdict = Any  # Equivalent | DistinctByInvariant | Unknown
+
+
+# ---------------------------------------------------------------------------
+# Text formats
+
+
+def line_error(message: str, line: int) -> ValueError:
+    """The parse error of the formats without their own exception class."""
+    return ValueError(f"line {line}: {message}")
+
+
+def read_directives(
+    text: str, usage: dict, error: Callable[[str, int], Exception] = line_error
+) -> Iterator[tuple[str, list, Callable[[str], Exception]]]:
+    """Yield ``(keyword, operands, fail)`` for every directive line of a text
+    format, where ``#`` starts a comment and blank lines are skipped.
+
+    ``usage`` maps each keyword to ``(min, max, message)``: the operand count
+    must lie in ``min..max`` (``max`` None for no limit).  An unknown keyword
+    or a wrong operand count raises ``error(message, line)``; ``fail(message)``
+    builds the same error for the line being read.
+    """
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        kw, args = parts[0], parts[1:]
+
+        def fail(message: str, ln: int = ln) -> Exception:
+            return error(message, ln)
+
+        if kw not in usage:
+            raise fail(f"unknown directive {kw!r}")
+        lo, hi, message = usage[kw]
+        if len(args) < lo or (hi is not None and len(args) > hi):
+            raise fail(message)
+        yield kw, args, fail

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._maps import two_colouring
 from .divide import PlanarDivide, regions
 from .quiver import Quiver, quiver_from_arrows
 
@@ -34,31 +35,7 @@ class AGDiagram:
 
 def _sign_assignment(d: PlanarDivide, rs) -> tuple:
     """Two-color the regions: lexicographically-least region gets '+'."""
-    n = len(rs)
-    # union-find with parity: par[i] relative sign to parent
-    parent = list(range(n))
-    par = [0] * n
-
-    def find(x):
-        if parent[x] == x:
-            return x, 0
-        root, p = find(parent[x])
-        parent[x] = root
-        par[x] ^= p
-        return root, par[x]
-
-    def union(x, y, rel):
-        rx, px = find(x)
-        ry, py = find(y)
-        if rx == ry:
-            if px ^ py != rel:
-                raise SignConflict(
-                    f"regions {x} and {y} cannot satisfy the sign constraints"
-                )
-            return
-        parent[ry] = rx
-        par[ry] = px ^ py ^ rel
-
+    constraints = []  # (region, region, 1 for opposite signs)
     dart_region = {x: r.index for r in rs for x in r.darts}
     # adjacent regions (separated by a 1-cell): opposite signs
     adjacent: set = set()
@@ -67,7 +44,7 @@ def _sign_assignment(d: PlanarDivide, rs) -> tuple:
         ra, rb = dart_region.get(a), dart_region.get(b)
         if ra is not None and rb is not None:
             adjacent.add(frozenset({ra, rb}))
-            union(ra, rb, 1)
+            constraints.append((ra, rb, 1))
     # non-adjacent regions sharing a node: equal signs
     at_node: dict = {}
     for r in rs:
@@ -77,16 +54,16 @@ def _sign_assignment(d: PlanarDivide, rs) -> tuple:
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
                 if x != y and frozenset({x, y}) not in adjacent:
-                    union(x, y, 0)
-    # normalize: the least region index of each component gets '+'
-    root_fix: dict = {}
-    signs = []
-    for i in range(n):
-        root, p = find(i)
-        if root not in root_fix:
-            root_fix[root] = p  # parity of the least index in this component
-        signs.append("+" if p == root_fix[root] else "-")
-    return tuple(signs)
+                    constraints.append((x, y, 0))
+    colours = two_colouring(
+        len(rs),
+        constraints,
+        0,
+        lambda x, y: SignConflict(
+            f"regions {x} and {y} cannot satisfy the sign constraints"
+        ),
+    )
+    return tuple("-" if c else "+" for c in colours)
 
 
 def ag_diagram(d: PlanarDivide) -> AGDiagram:

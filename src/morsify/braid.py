@@ -448,7 +448,10 @@ def positive_isotopic(
                 return Unknown("budget exhausted")
             counter += 1
             heapq.heappush(heap, (nxt.k, len(nxt), counter, nf_to_word(nxt_nf), key))
-    return DistinctByInvariant("reachable set exhausted without meeting")
+    return Unknown(
+        f"reachable set exhausted within the strand cap {k_cap}; "
+        "isotopy through braids on more strands not ruled out"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .divide import (
     yb_sites,
 )
 from .link import (
+    CapExceeded,
     alexander,
     closure,
     fingerprint,
@@ -262,7 +263,11 @@ def _cmd_jones(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
-    comps, alex, jon = fingerprint(_link_arg(args.input), include_jones=True)
+    link = _link_arg(args.input)
+    comps, alex, _ = fingerprint(link)
+    # called directly rather than through fingerprint(), which turns a
+    # crossing count over the cap into None
+    jon = jones(link) if args.jones else None
     machine = args.format == "machine"
     if machine:
         print(f"RESULT components {comps}")
@@ -418,7 +423,7 @@ def main(argv: Optional[list] = None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.fn(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, CapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,11 @@
 """Divides: immersed curves in a disk with transversal double points.
 
-A *planar divide* is stored as a rotation system: every node (double point)
-carries four half-edge slots ``0..3`` in counterclockwise order, with slots
-``{0, 2}`` and ``{1, 3}`` forming the two strands passing through the node;
-every endpoint (curve end on the disk boundary) carries a single slot ``0``.
-Edges pair two (vertex, slot) darts.  The disk boundary is the cyclic
-``boundary_order`` of endpoints; a crossing-free closed curve cannot be held
-in a rotation system, so such components are counted in ``bare_circles``.
+A *planar divide* is a rotation system in the sense of :mod:`morsify._maps`:
+every node (double point) carries four slots ``0..3``, with slots ``{0, 2}``
+and ``{1, 3}`` forming the two strands passing through the node, and every
+endpoint (curve end on the disk boundary) is a boundary vertex.  A
+crossing-free closed curve cannot be held in a rotation system, so such
+components are counted in ``bare_circles``.
 
 A *scannable divide* is the left-to-right normal form: ``k`` horizontal
 strands (numbered bottom-up), U-turn pairs at the far left and far right, and
@@ -19,7 +18,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Optional
 
-from ._maps import connected, rot_next_from_cycles, trace_faces
+from ._common import read_directives
+from ._maps import check_map, closed_map, format_map, map_darts, parse_dart
+from ._maps import split_faces, twin_map, vertices_connected
 
 Dart = tuple  # (vertex_id, slot)
 
@@ -54,20 +55,14 @@ class PlanarDivide:
     # -- structural accessors ------------------------------------------------
 
     def darts(self) -> list[Dart]:
-        out = [(v, s) for v in sorted(self.nodes) for s in range(4)]
-        out.extend((e, 0) for e in sorted(self.endpoints))
-        return out
+        return map_darts(self.nodes, 4, self.endpoints)
 
     def twin(self) -> dict:
-        t: dict = {}
-        for e in self.edges:
-            pair = sorted(e) if len(e) == 2 else None
-            if pair is None:
-                raise ValueError(f"edge {set(e)} does not pair two distinct darts")
-            a, b = pair
-            t[a] = b
-            t[b] = a
-        return t
+        return twin_map(self.edges)
+
+    def closed_map(self):
+        """The map closed up along the disk boundary (see :mod:`morsify._maps`)."""
+        return closed_map(self.nodes, 4, self.endpoints, self.boundary_order, self.twin())
 
 
 class CellCount(NamedTuple):
@@ -110,76 +105,34 @@ class ValidationReport:
         return not self.violations
 
 
-def _closed_map(d: PlanarDivide):
-    """The divide's map closed up along the disk boundary.
-
-    Boundary arcs between consecutive endpoints are added as extra edges with
-    darts ``("~arc", i, 0 | 1)``.  Returns (darts, twin, rot_next, arc_darts).
-    """
-    twin = dict(d.twin())
-    darts = list(d.darts())
-    cycles: dict = {v: [(v, s) for s in range(4)] for v in d.nodes}
-    arc_darts: set = set()
-    m = len(d.boundary_order)
-    if m:
-        for i, e in enumerate(d.boundary_order):
-            a0 = ("~arc", i, 0)  # at endpoint i, toward endpoint i+1
-            a1 = ("~arc", i, 1)  # at endpoint i+1, toward endpoint i
-            twin[a0] = a1
-            twin[a1] = a0
-            darts.extend([a0, a1])
-            arc_darts.update([a0, a1])
-        for i, e in enumerate(d.boundary_order):
-            nxt = ("~arc", i, 0)
-            prv = ("~arc", (i - 1) % m, 1)
-            cycles[e] = [nxt, (e, 0), prv]
-    else:
-        for e in d.endpoints:
-            cycles[e] = [(e, 0)]
-    rot_next = rot_next_from_cycles(cycles)
-    return darts, twin, rot_next, arc_darts
-
-
 def faces(d: PlanarDivide):
     """All faces of the closed map, with the outer face identified.
 
     Returns ``(face_list, outer_index, arc_darts)``.
     """
-    darts, twin, rot_next, arc_darts = _closed_map(d)
-    fs = trace_faces(darts, twin, rot_next)
-    outer = None
+    cm = d.closed_map()
+    fs = cm.faces()
     if d.boundary_order:
-        for i, f in enumerate(fs):
-            if all(x in arc_darts for x in f):
-                outer = i
-                break
-    elif d.outer_dart is not None:
-        for i, f in enumerate(fs):
-            if d.outer_dart in f:
-                outer = i
-                break
-    return fs, outer, arc_darts
+        outer = next((i for i, f in enumerate(fs) if cm.arc_darts.issuperset(f)), None)
+    else:
+        outer = next((i for i, f in enumerate(fs) if d.outer_dart in f), None)
+    return fs, outer, cm.arc_darts
 
 
 def regions(d: PlanarDivide) -> list[Region]:
     """Faces not incident to the disk boundary, in deterministic order."""
-    fs, outer, arc_darts = faces(d)
+    fs, _, arc_darts = faces(d)
+    return _regions(d, fs, arc_darts)
+
+
+def _regions(d: PlanarDivide, fs: list, arc_darts: set) -> list[Region]:
+    inner, _ = split_faces(fs, arc_darts, d.outer_dart)
     twin = d.twin()
-    raw = []
-    for i, f in enumerate(fs):
-        if i == outer:
-            continue
-        if any(x in arc_darts for x in f):
-            continue
-        cells = []
-        for x in f:
-            v = x[0]
-            cells.append((v, frozenset({x, twin[x]})))
-        raw.append((f, tuple(cells)))
-    raw.sort(key=lambda fc: (sorted({n for n, _ in fc[1]}), fc[0]))
-    out = [Region(i, f, cells) for i, (f, cells) in enumerate(raw)]
-    for j in range(d.bare_circles):
-        out.append(Region(len(out), (), ()))
+    out = [
+        Region(i, f, tuple((x[0], frozenset({x, twin[x]})) for x in f))
+        for i, f in enumerate(inner)
+    ]
+    out.extend(Region(len(out) + j, (), ()) for j in range(d.bare_circles))
     return out
 
 
@@ -248,36 +201,19 @@ def validate(d: PlanarDivide) -> ValidationReport:
     ):
         v.append(("D4", "boundary order does not enumerate the endpoints"))
         return ValidationReport(tuple(v))
-    # D5 (first half): connectedness of the union of branches.  Checked
-    # before the genus test because Euler's formula presumes connectivity.
-    disconnected = False
-    verts = set(d.nodes) | set(d.endpoints)
-    if verts:
-        adj = defaultdict(set)
-        for e in d.edges:
-            a, b = sorted(e)
-            adj[a[0]].add(b[0])
-            adj[b[0]].add(a[0])
-        seen = set()
-        stack = [next(iter(sorted(verts)))]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(adj[x])
-        disconnected = seen != verts
-    if disconnected or (d.bare_circles and verts):
+    # D5 (first half): connectedness of the union of branches, which the
+    # genus test presumes
+    verts = d.nodes | d.endpoints
+    cm = d.closed_map()
+    checked = check_map(verts, d.edges, cm)
+    if checked is None or (d.bare_circles and verts):
         v.append(("D5", "the union of branches is disconnected"))
-    if disconnected:
+    if checked is None:
         return ValidationReport(tuple(v))
     # D6: the rotation system must be planar (genus 0)
-    fs, outer, _ = faces(d)
-    V = len(verts)
-    E = len(d.edges) + len(d.boundary_order)
-    F = len(fs)
-    if V and V - E + F != 2:
-        v.append(("D6", f"map has genus > 0 (V-E+F = {V - E + F}, expected 2)"))
+    fs, euler = checked
+    if verts and euler != 2:
+        v.append(("D6", f"map has genus > 0 (V-E+F = {euler}, expected 2)"))
         return ValidationReport(tuple(v))
     if not d.boundary_order and d.nodes and d.outer_dart is None:
         v.append(("D6", "endpoint-free divide needs an outer-face dart"))
@@ -288,29 +224,25 @@ def validate(d: PlanarDivide) -> ValidationReport:
         v.append(("D1", "strand tracing does not partition the edges"))
     # D5 (second half): connectedness of the body (nodes plus closed regions)
     if d.nodes:
-        rs = regions(d)
-        cell_adj = defaultdict(set)
-        cells = set(d.nodes) | {("~region", r.index) for r in rs if r.boundary_cells}
-        for r in rs:
-            rid = ("~region", r.index)
-            for n in r.region_nodes:
-                cell_adj[rid].add(n)
-                cell_adj[n].add(rid)
-        seen = set()
-        stack = [next(iter(sorted(d.nodes)))]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(cell_adj[x])
-        if seen != cells:
+        rs = _regions(d, fs, cm.arc_darts)
+        cells = d.nodes | {("~region", r.index) for r in rs if r.boundary_cells}
+        links = ((("~region", r.index), n) for r in rs for n in r.region_nodes)
+        if not vertices_connected(cells, links):
             v.append(("D5", "the body (nodes and regions) is disconnected"))
     return ValidationReport(tuple(v))
 
 
 # ---------------------------------------------------------------------------
 # .pdv parsing / printing
+
+
+_PDV_USAGE = {
+    "node": (1, 1, "node takes one id"),
+    "end": (1, 1, "end takes one id"),
+    "edge": (2, 2, "edge takes two darts"),
+    "boundary": (0, None, ""),
+    "outer": (1, 1, "outer takes one dart"),
+}
 
 
 def parse_planar_divide(text: str) -> PlanarDivide:
@@ -320,57 +252,29 @@ def parse_planar_divide(text: str) -> PlanarDivide:
     boundary: tuple = ()
     outer: Optional[Dart] = None
     used_slots: set = set()
+    kinds = ((nodes, 4, "node"), (endpoints, 1, "endpoint"))
 
-    def parse_dart(tok: str, ln: int) -> Dart:
-        name, _, slot = tok.rpartition(".")
-        if not name or not slot.isdigit():
-            raise DivideParseError(f"malformed slot reference {tok!r}", ln)
-        s = int(slot)
-        if name in nodes:
-            if not 0 <= s <= 3:
-                raise DivideParseError(f"node slot out of range in {tok!r}", ln)
-        elif name in endpoints:
-            if s != 0:
-                raise DivideParseError(f"endpoint slot must be 0 in {tok!r}", ln)
-        else:
-            raise DivideParseError(f"unknown vertex {name!r}", ln)
-        return (name, s)
-
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw = parts[0]
+    for kw, args, fail in read_directives(text, _PDV_USAGE, DivideParseError):
         if kw == "node":
-            if len(parts) != 2:
-                raise DivideParseError("node takes one id", ln)
-            nodes.add(parts[1])
+            nodes.add(args[0])
         elif kw == "end":
-            if len(parts) != 2:
-                raise DivideParseError("end takes one id", ln)
-            endpoints.add(parts[1])
+            endpoints.add(args[0])
         elif kw == "edge":
-            if len(parts) != 3:
-                raise DivideParseError("edge takes two darts", ln)
-            a = parse_dart(parts[1], ln)
-            b = parse_dart(parts[2], ln)
+            a, b = (parse_dart(tok, kinds, fail) for tok in args)
             if a == b:
-                raise DivideParseError("edge joins a slot to itself", ln)
+                raise fail("edge joins a slot to itself")
             for x in (a, b):
                 if x in used_slots:
-                    raise DivideParseError(f"DuplicateSlot: {x[0]}.{x[1]} used twice", ln)
+                    raise fail(f"DuplicateSlot: {x[0]}.{x[1]} used twice")
                 used_slots.add(x)
             edges.append(frozenset({a, b}))
         elif kw == "boundary":
-            boundary = tuple(parts[1:])
+            boundary = tuple(args)
             for e in boundary:
                 if e not in endpoints:
-                    raise DivideParseError(f"boundary lists unknown endpoint {e!r}", ln)
-        elif kw == "outer":
-            outer = parse_dart(parts[1], ln)
-        else:
-            raise DivideParseError(f"unknown directive {kw!r}", ln)
+                    raise fail(f"boundary lists unknown endpoint {e!r}")
+        else:  # outer
+            outer = parse_dart(args[0], kinds, fail)
     for e in sorted(endpoints):
         if (e, 0) not in used_slots:
             raise DivideParseError(f"endpoint {e!r} has no edge", 0)
@@ -382,13 +286,7 @@ def parse_planar_divide(text: str) -> PlanarDivide:
 def format_planar_divide(d: PlanarDivide) -> str:
     lines = [f"node {v}" for v in sorted(d.nodes)]
     lines += [f"end {e}" for e in sorted(d.endpoints)]
-    for e in sorted(d.edges, key=sorted):
-        a, b = sorted(e)
-        lines.append(f"edge {a[0]}.{a[1]} {b[0]}.{b[1]}")
-    if d.boundary_order:
-        lines.append("boundary " + " ".join(d.boundary_order))
-    if d.outer_dart is not None:
-        lines.append(f"outer {d.outer_dart[0]}.{d.outer_dart[1]}")
+    lines += format_map(d.edges, d.boundary_order, d.outer_dart)
     return "\n".join(lines) + "\n"
 
 
@@ -424,30 +322,25 @@ def scannable(k: int, left=(), events=(), right=()) -> ScannableDivide:
     return ScannableDivide(k, frozenset(left), tuple(events), frozenset(right))
 
 
+_SDV_USAGE = {
+    "k": (1, 1, "k takes one strand count"),
+    "L": (0, None, ""),
+    "E": (0, None, ""),
+    "R": (0, None, ""),
+}
+
+
 def parse_scannable(text: str) -> ScannableDivide:
     k = None
-    left: tuple = ()
-    events: tuple = ()
-    right: tuple = ()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw, vals = parts[0], parts[1:]
+    lists: dict = {"L": (), "E": (), "R": ()}
+    for kw, args, _ in read_directives(text, _SDV_USAGE, DivideParseError):
         if kw == "k":
-            k = int(vals[0])
-        elif kw == "L":
-            left = tuple(int(x) for x in vals)
-        elif kw == "E":
-            events = tuple(int(x) for x in vals)
-        elif kw == "R":
-            right = tuple(int(x) for x in vals)
+            k = int(args[0])
         else:
-            raise DivideParseError(f"unknown directive {kw!r}", ln)
+            lists[kw] = tuple(int(x) for x in args)
     if k is None:
         raise DivideParseError("missing strand count line 'k <int>'", 0)
-    return scannable(k, left, events, right)
+    return scannable(k, lists["L"], lists["E"], lists["R"])
 
 
 def format_scannable(s: ScannableDivide) -> str:

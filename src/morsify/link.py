@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._common import read_directives
+
 Word = tuple  # of nonzero ints; letter i > 0 crosses strands i, i+1 positively
 
 
@@ -583,23 +585,23 @@ def fingerprint(
 # PD text format
 
 
+_PD_USAGE = {
+    "X": (5, 5, "X takes four arcs and a sign"),
+    "loop": (0, 0, "loop takes no operands"),
+}
+
+
 def parse_link_diagram(text: str) -> LinkDiagram:
     crossings = []
     free = 0
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "X":
-            if len(parts) != 6 or parts[5] not in ("+", "-"):
-                raise ValueError(f"line {ln}: X takes four arcs and a sign")
-            arcs = tuple(int(p) if p.lstrip("-").isdigit() else p for p in parts[1:5])
-            crossings.append((arcs, 1 if parts[5] == "+" else -1))
-        elif parts[0] == "loop":
+    for kw, args, fail in read_directives(text, _PD_USAGE):
+        if kw == "loop":
             free += 1
-        else:
-            raise ValueError(f"line {ln}: unknown directive {parts[0]!r}")
+            continue
+        if args[4] not in ("+", "-"):
+            raise fail(_PD_USAGE["X"][2])
+        arcs = tuple(int(p) if p.lstrip("-").isdigit() else p for p in args[:4])
+        crossings.append((arcs, 1 if args[4] == "+" else -1))
     return LinkDiagram(tuple(crossings), free_loops=free)
 
 

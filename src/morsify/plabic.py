@@ -1,10 +1,9 @@
 """Plabic graphs: bicolored planar graphs in a disk with trivalent interior.
 
-A plabic graph is stored as a rotation system, like a divide: every internal
-vertex carries three half-edge slots ``0..2`` in counterclockwise order, every
-boundary vertex (leaf) a single slot ``0``; edges pair two (vertex, slot)
-darts; ``boundary_order`` lists the leaves counterclockwise along the disk
-boundary.  Each vertex is black or white.
+A plabic graph is a rotation system in the sense of :mod:`morsify._maps`,
+like a divide: every internal vertex carries three slots ``0..2`` and every
+boundary vertex (leaf) is a boundary vertex of the map.  Each vertex is black
+or white.
 
 The module provides the faces and the quiver of a plabic graph, the local
 moves (flips, square moves, tail attachment/removal) with legality checks and
@@ -21,10 +20,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
-from ._maps import rot_next_from_cycles, trace_faces
+from ._common import read_directives
+from ._maps import check_map, closed_map, format_map, map_darts, parse_dart
+from ._maps import split_faces, twin_map, two_colouring
 from .divide import PlanarDivide, ScannableDivide, SiteDescriptor
 from .divide import faces as divide_faces
-from .divide import regions as divide_regions
 from .divide import validate as divide_validate
 from .divide import apply_yb, yb_sites
 from .quiver import Quiver, quick_invariants, quiver_from_arrows
@@ -67,44 +67,17 @@ class PlabicGraph:
         object.__setattr__(self, "boundary_order", tuple(self.boundary_order))
 
     def darts(self) -> list[Dart]:
-        out = [(v, s) for v in sorted(self.internal) for s in range(3)]
-        out.extend((v, 0) for v in sorted(self.leaves))
-        return out
+        return map_darts(self.internal, 3, self.leaves)
 
     def twin(self) -> dict:
-        t: dict = {}
-        for e in self.edges:
-            a, b = sorted(e)
-            t[a] = b
-            t[b] = a
-        return t
+        return twin_map(self.edges)
+
+    def closed_map(self):
+        """The map closed up along the disk boundary (see :mod:`morsify._maps`)."""
+        return closed_map(self.internal, 3, self.leaves, self.boundary_order, self.twin())
 
     def color(self, v) -> str:
         return "b" if v in self.black else "w"
-
-
-def _closed_map(p: PlabicGraph):
-    """The graph's map closed up along the disk boundary (cf. divides)."""
-    twin = dict(p.twin())
-    darts = list(p.darts())
-    cycles: dict = {v: [(v, s) for s in range(3)] for v in p.internal}
-    arc_darts: set = set()
-    m = len(p.boundary_order)
-    if m:
-        for i in range(m):
-            a0 = ("~arc", i, 0)
-            a1 = ("~arc", i, 1)
-            twin[a0] = a1
-            twin[a1] = a0
-            darts.extend([a0, a1])
-            arc_darts.update([a0, a1])
-        for i, v in enumerate(p.boundary_order):
-            cycles[v] = [("~arc", i, 0), (v, 0), ("~arc", (i - 1) % m, 1)]
-    else:
-        for v in p.leaves:
-            cycles[v] = [(v, 0)]
-    rot_next = rot_next_from_cycles(cycles)
-    return darts, twin, rot_next, arc_darts
 
 
 def faces(p: PlabicGraph):
@@ -114,24 +87,12 @@ def faces(p: PlabicGraph):
     boundary faces are the faces meeting the disk boundary (including the
     outer face of a leafless graph).
     """
-    darts, twin, rot_next, arc_darts = _closed_map(p)
-    fs = trace_faces(darts, twin, rot_next)
-    internal, boundary = [], []
-    for f in fs:
-        if any(x in arc_darts for x in f):
-            boundary.append(f)
-        elif not p.leaves and p.outer_dart is not None and p.outer_dart in f:
-            boundary.append(f)
-        else:
-            internal.append(f)
-    internal.sort(key=lambda f: (sorted({x[0] for x in f}), f))
-    boundary.sort(key=lambda f: (sorted({x[0] for x in f}), f))
-    return internal, boundary
+    cm = p.closed_map()
+    return split_faces(cm.faces(), cm.arc_darts, p.outer_dart)
 
 
-def _face_index(p: PlabicGraph):
+def _face_index(internal: list, boundary: list) -> dict:
     """Map each graph dart to its (kind, index) face, kinds internal/boundary."""
-    internal, boundary = faces(p)
     out: dict = {}
     for i, f in enumerate(internal):
         for x in f:
@@ -140,18 +101,20 @@ def _face_index(p: PlabicGraph):
         for x in f:
             if x[0] != "~arc":
                 out[x] = ("boundary", i)
-    return out, internal, boundary
+    return out
 
 
 def validate(p: PlabicGraph) -> list[str]:
     """Structural problems of the graph; an empty list means valid."""
-    problems: list[str] = []
-    twin = p.twin()
-    darts = p.darts()
     if p.internal & p.leaves:
         return ["a vertex is listed both internal and boundary"]
     if not p.black <= (p.internal | p.leaves):
         return ["color set names unknown vertices"]
+    for e in p.edges:
+        if len(e) != 2:
+            return [f"edge {sorted(e)} does not pair two distinct darts"]
+    twin = p.twin()
+    darts = p.darts()
     if set(twin) != set(darts):
         missing = sorted(set(darts) ^ set(twin))
         return [f"unpaired or stray half-edge slots: {missing[:4]}"]
@@ -159,62 +122,33 @@ def validate(p: PlabicGraph) -> list[str]:
         p.leaves
     ):
         return ["boundary order does not enumerate the boundary vertices"]
-    for e in p.edges:
-        if len(e) != 2:
-            return [f"edge {sorted(e)} does not pair two distinct darts"]
-    # connectivity
     verts = p.internal | p.leaves
-    if verts:
-        adj: dict = {v: set() for v in verts}
-        for e in p.edges:
-            a, b = sorted(e)
-            adj[a[0]].add(b[0])
-            adj[b[0]].add(a[0])
-        seen: set = set()
-        stack = [sorted(verts)[0]]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(adj[x])
-        if seen != verts:
-            return ["graph is disconnected"]
-    else:
+    if not verts:
         return ["graph has no vertices"]
-    # planarity of the closed map
-    fs_all = trace_faces(*_closed_map(p)[:3])
-    V = len(verts)
-    E = len(p.edges) + len(p.boundary_order)
-    F = len(fs_all)
-    if V - E + F != 2:
-        return [f"map has genus > 0 (V-E+F = {V - E + F}, expected 2)"]
+    cm = p.closed_map()
+    checked = check_map(verts, p.edges, cm)
+    if checked is None:
+        return ["graph is disconnected"]
+    fs, euler = checked
+    if euler != 2:
+        return [f"map has genus > 0 (V-E+F = {euler}, expected 2)"]
     if not p.leaves and p.outer_dart is None:
-        problems.append("leafless graph needs an outer-face dart")
-        return problems
+        return ["leafless graph needs an outer-face dart"]
     if p.outer_dart is not None and p.outer_dart not in twin:
         return ["outer-face dart does not exist"]
     # each internal face must see another internal face across a bicolored
     # edge (when there are at least two internal faces)
-    fidx, internal, _ = _face_index(p)
-    if len(internal) >= 2:
-        for i, f in enumerate(internal):
-            ok = False
-            for x in f:
-                y = twin[x]
-                if p.color(x[0]) != p.color(y[0]) and fidx.get(y) not in (
-                    None,
-                    ("internal", i),
-                ):
-                    kind, j = fidx[y]
-                    if kind == "internal":
-                        ok = True
-                        break
-            if not ok:
-                problems.append(
-                    f"internal face {i} has no bicolored edge to another "
-                    "internal face"
-                )
+    internal, _ = split_faces(fs, cm.arc_darts, p.outer_dart)
+    inner_of = {x: i for i, f in enumerate(internal) for x in f}
+    problems: list[str] = []
+    for i, f in enumerate(internal if len(internal) >= 2 else ()):
+        if not any(
+            p.color(x[0]) != p.color(twin[x][0]) and inner_of.get(twin[x], i) != i
+            for x in f
+        ):
+            problems.append(
+                f"internal face {i} has no bicolored edge to another internal face"
+            )
     return problems
 
 
@@ -226,8 +160,8 @@ def quiver_of_plabic(p: PlabicGraph) -> Quiver:
     """Vertex per internal face; an arrow across every bicolored edge
     separating two distinct internal faces, oriented so the black endpoint of
     the edge lies on the right; opposite arrow pairs cancel."""
-    fidx, internal, _ = _face_index(p)
-    twin = p.twin()
+    internal, boundary = faces(p)
+    fidx = _face_index(internal, boundary)
     arrows = []
     for e in sorted(p.edges, key=sorted):
         a, b = sorted(e)
@@ -302,7 +236,8 @@ def _apply_flip(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
 
 
 def _square_candidates(p: PlabicGraph):
-    fidx, internal, _ = _face_index(p)
+    internal, boundary = faces(p)
+    fidx = _face_index(internal, boundary)
     twin = p.twin()
     out = []
     for i, f in enumerate(internal):
@@ -373,9 +308,10 @@ def _apply_tail_remove(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
     outer = p.outer_dart
     if not boundary:
         # the face the tail poked into becomes the marked outer face
-        darts, tw, rot_next, arc_darts = _closed_map(p)
+        cm = p.closed_map()
+        arc_darts = cm.arc_darts
         outer = None
-        for f in trace_faces(darts, tw, rot_next):
+        for f in cm.faces():
             if any(x in arc_darts for x in f):
                 for x in f:
                     if x not in arc_darts and x[0] not in (l, v):
@@ -395,7 +331,7 @@ def _apply_tail_remove(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
 
 
 def _tail_attach_candidates(p: PlabicGraph):
-    fidx, _, boundary = _face_index(p)
+    _, boundary = faces(p)
     out = []
     for f in boundary:
         gaps = sorted({x[1] for x in f if x[0] == "~arc"})
@@ -429,7 +365,8 @@ def _apply_tail_attach(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
         raise IllegalMove(f"no such dart {d}")
     if color not in ("b", "w"):
         raise IllegalMove(f"unknown color {color!r}")
-    fidx, _, boundary = _face_index(p)
+    internal, boundary = faces(p)
+    fidx = _face_index(internal, boundary)
     kind, fi = fidx[d]
     if kind != "boundary":
         raise IllegalMove("tail attachment needs a boundary-adjacent face")
@@ -514,10 +451,11 @@ def canonical_code(p: PlabicGraph, strict_boundary_colors: bool = False) -> tupl
     Minimized over all starting darts and over the global color swap;
     boundary-vertex colors are erased unless ``strict_boundary_colors``.
     """
-    darts, twin, rot_next, arc_darts = _closed_map(p)
+    cm = p.closed_map()
+    darts, twin, rot_next, arc_darts = cm
     outer_marks: set = set()
     if not p.leaves and p.outer_dart is not None:
-        for f in trace_faces(darts, twin, rot_next):
+        for f in cm.faces():
             if p.outer_dart in f:
                 outer_marks = set(f)
                 break
@@ -777,50 +715,17 @@ def fence_of_divide(s: ScannableDivide) -> PlabicGraph:
 def _face_signs(d: PlanarDivide):
     """Two-color all faces of the divide's closed map (checkerboard), aligned
     with the region sign normalization: region 0 receives '+'."""
-    fs, outer, arc_darts = divide_faces(d)
-    dart_face: dict = {}
-    for i, f in enumerate(fs):
-        for x in f:
-            dart_face[x] = i
-    n = len(fs)
-    parent = list(range(n))
-    par = [0] * n
-
-    def find(x):
-        if parent[x] == x:
-            return x, 0
-        root, q = find(parent[x])
-        parent[x] = root
-        par[x] ^= q
-        return root, par[x]
-
-    for e in d.edges:
-        a, b = sorted(e)
-        ra, pa = find(dart_face[a])
-        rb, pb = find(dart_face[b])
-        if ra == rb:
-            if pa ^ pb != 1:
-                raise ValueError("divide faces admit no checkerboard coloring")
-            continue
-        parent[rb] = ra
-        par[rb] = pa ^ pb ^ 1
-    rs = divide_regions(d)
-    anchor = None
-    if rs and rs[0].darts:
-        anchor = dart_face[rs[0].darts[0]]
-    if anchor is None:
-        anchor = 0
-    aroot, apar = find(anchor)
-    # the anchor face (region 0 when present) gets '+'; components not
-    # containing the anchor are anchored at their least face index
-    comp_fix: dict = {aroot: apar}
-    signs = {}
-    for i in range(n):
-        root, q = find(i)
-        if root not in comp_fix:
-            comp_fix[root] = q
-        signs[i] = "+" if q == comp_fix[root] else "-"
-    return signs, dart_face
+    fs, _, arc_darts = divide_faces(d)
+    dart_face = {x: i for i, f in enumerate(fs) for x in f}
+    regions, _ = split_faces(fs, arc_darts, d.outer_dart)
+    anchor = dart_face[regions[0][0]] if regions else 0
+    colours = two_colouring(
+        len(fs),
+        ((dart_face[a], dart_face[b], 1) for a, b in d.edges),
+        anchor,
+        lambda i, j: ValueError("divide faces admit no checkerboard coloring"),
+    )
+    return ["-" if c else "+" for c in colours], dart_face
 
 
 def attach_plabic(d: PlanarDivide, tails=None) -> PlabicGraph:
@@ -1304,6 +1209,15 @@ def _descend(g, back, moves, canon, clock):
 # .plb parsing / printing
 
 
+_PLB_USAGE = {
+    "v": (3, 3, "v takes <id> <b|w> <i|d>"),
+    "edge": (2, 2, "edge takes two darts"),
+    "rot": (4, 4, "rot takes an internal id and 3 slots"),
+    "boundary": (0, None, ""),
+    "outer": (1, 1, "outer takes one dart"),
+}
+
+
 def parse_plabic(text: str) -> PlabicGraph:
     internal: set = set()
     leaves: set = set()
@@ -1313,55 +1227,33 @@ def parse_plabic(text: str) -> PlabicGraph:
     outer: Optional[Dart] = None
     rots: dict = {}
     used: set = set()
+    kinds = ((internal, 3, "internal"), (leaves, 1, "boundary"))
 
-    def parse_dart(tok, ln):
-        name, _, slot = tok.rpartition(".")
-        if not name or not slot.isdigit():
-            raise ValueError(f"line {ln}: malformed slot reference {tok!r}")
-        s = int(slot)
-        if name in internal:
-            if not 0 <= s <= 2:
-                raise ValueError(f"line {ln}: internal slot out of range in {tok!r}")
-        elif name in leaves:
-            if s != 0:
-                raise ValueError(f"line {ln}: boundary slot must be 0 in {tok!r}")
-        else:
-            raise ValueError(f"line {ln}: unknown vertex {name!r}")
-        return (name, s)
-
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw = parts[0]
+    for kw, args, fail in read_directives(text, _PLB_USAGE):
         if kw == "v":
-            if len(parts) != 4 or parts[2] not in ("b", "w") or parts[3] not in ("i", "d"):
-                raise ValueError(f"line {ln}: v takes <id> <b|w> <i|d>")
-            (internal if parts[3] == "i" else leaves).add(parts[1])
-            if parts[2] == "b":
-                black.add(parts[1])
+            if args[1] not in ("b", "w") or args[2] not in ("i", "d"):
+                raise fail(_PLB_USAGE["v"][2])
+            (internal if args[2] == "i" else leaves).add(args[0])
+            if args[1] == "b":
+                black.add(args[0])
         elif kw == "edge":
-            a = parse_dart(parts[1], ln)
-            b = parse_dart(parts[2], ln)
+            a, b = (parse_dart(tok, kinds, fail) for tok in args)
             for x in (a, b):
                 if x in used:
-                    raise ValueError(f"line {ln}: slot {x[0]}.{x[1]} used twice")
+                    raise fail(f"slot {x[0]}.{x[1]} used twice")
                 used.add(x)
             edges.append(frozenset({a, b}))
         elif kw == "rot":
-            if parts[1] not in internal or len(parts) != 5:
-                raise ValueError(f"line {ln}: rot takes an internal id and 3 slots")
-            rots[parts[1]] = tuple(int(x) for x in parts[2:])
+            if args[0] not in internal:
+                raise fail(_PLB_USAGE["rot"][2])
+            rots[args[0]] = tuple(int(x) for x in args[1:])
         elif kw == "boundary":
-            boundary = tuple(parts[1:])
+            boundary = tuple(args)
             for v in boundary:
                 if v not in leaves:
-                    raise ValueError(f"line {ln}: boundary lists unknown vertex {v!r}")
-        elif kw == "outer":
-            outer = parse_dart(parts[1], ln)
-        else:
-            raise ValueError(f"line {ln}: unknown directive {kw!r}")
+                    raise fail(f"boundary lists unknown vertex {v!r}")
+        else:  # outer
+            outer = parse_dart(args[0], kinds, fail)
     # reorder slots for vertices with an explicit rotation line
     remap: dict = {}
     for v, order in rots.items():
@@ -1387,11 +1279,5 @@ def format_plabic(p: PlabicGraph) -> str:
         lines.append(f"v {v} {p.color(v)} d")
     for v in sorted(p.internal):
         lines.append(f"rot {v} 0 1 2")
-    for e in sorted(p.edges, key=sorted):
-        a, b = sorted(e)
-        lines.append(f"edge {a[0]}.{a[1]} {b[0]}.{b[1]}")
-    if p.boundary_order:
-        lines.append("boundary " + " ".join(str(v) for v in p.boundary_order))
-    if p.outer_dart is not None:
-        lines.append(f"outer {p.outer_dart[0]}.{p.outer_dart[1]}")
+    lines += format_map(p.edges, p.boundary_order, p.outer_dart)
     return "\n".join(lines) + "\n"

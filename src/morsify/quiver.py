@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
+from ._common import read_directives
 
 
 @dataclass(frozen=True)
@@ -320,26 +321,26 @@ def mutation_equivalent(
 # Text format
 
 
+_QVR_USAGE = {
+    "n": (1, 1, "n takes one vertex count"),
+    "a": (2, 3, "a takes two vertices and an optional multiplicity"),
+}
+
+
 def parse_quiver(text: str) -> Quiver:
     n = None
     arrows = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for kw, args, fail in read_directives(text, _QVR_USAGE):
+        if kw == "n":
+            n = int(args[0])
             continue
-        parts = line.split()
-        if parts[0] == "n":
-            n = int(parts[1])
-        elif parts[0] == "a":
-            if n is None:
-                raise ValueError(f"line {ln}: arrow before vertex count")
-            i, j = int(parts[1]), int(parts[2])
-            m = int(parts[3]) if len(parts) > 3 else 1
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"line {ln}: arrow endpoint out of range")
-            arrows.append((i, j, m))
-        else:
-            raise ValueError(f"line {ln}: unknown directive {parts[0]!r}")
+        if n is None:
+            raise fail("arrow before vertex count")
+        i, j = int(args[0]), int(args[1])
+        m = int(args[2]) if len(args) > 2 else 1
+        if not (0 <= i < n and 0 <= j < n):
+            raise fail("arrow endpoint out of range")
+        arrows.append((i, j, m))
     if n is None:
         raise ValueError("missing vertex count line 'n <int>'")
     return quiver_from_arrows(n, arrows)

@@ -13,6 +13,7 @@ from morsify.braid import (
     DistinctByInvariant,
     Equivalent,
     NormalForm,
+    Unknown,
     PositiveBraidWord,
     apply_conjugation,
     beta_of_fence_word,
@@ -207,6 +208,13 @@ class TestPositiveIsotopy:
         v = word(3, [1, 1, 1, 2])
         res = positive_isotopic(u, v, Budget(max_states=200000, max_seconds=60))
         assert isinstance(res, Equivalent)
+
+    def test_exhaustion_under_strand_cap_is_unknown(self):
+        # T(3,4) and T(2,7) share the Markov invariant (5, 1); the search only
+        # stabilizes up to 4 strands, so running out of states proves nothing
+        res = positive_isotopic(word(3, [1, 2] * 4), word(2, [1] * 7))
+        assert isinstance(res, Unknown)
+        assert "strand cap 4" in res.reason
 
     def test_markov_invariant_values(self):
         assert markov_invariant(word(2, [1])) == (-1, 1)

@@ -236,3 +236,26 @@ class TestErrors:
     def test_bad_word(self, capsys):
         code, _, err = run(capsys, "nf", "not a braid")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "suffix, text, argv",
+        [
+            (".plb", "v a b i\nedge a.0\n", ["validate"]),
+            (".plb", "rot\n", ["validate"]),
+            (".pdv", "outer\n", ["validate"]),
+            (".sdv", "k\n", ["validate"]),
+            (".qvr", "n 2\na 1\n", ["mutate", "0"]),
+        ],
+    )
+    def test_missing_operands(self, capsys, tmp_path, suffix, text, argv):
+        f = tmp_path / f"bad{suffix}"
+        f.write_text(text)
+        code, _, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 1 and "error: line" in err
+
+    @pytest.mark.parametrize("argv", [["jones"], ["fingerprint", "--jones"]])
+    def test_jones_cap(self, capsys, argv):
+        word = "3 : " + "1 2 " * 13
+        code, _, err = run(capsys, argv[0], word, *argv[1:])
+        assert code == 1
+        assert err.strip() == "error: 26 crossings exceed the cap of 24"

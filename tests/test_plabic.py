@@ -191,6 +191,61 @@ class TestAttach:
             assert is_isomorphic(qp, qd)
 
 
+# a theta graph: two trivalent vertices joined by three edges, no leaves
+THETA = PlabicGraph(
+    internal=frozenset({"u", "w"}),
+    leaves=frozenset(),
+    black=frozenset({"u"}),
+    edges=frozenset(
+        {
+            frozenset({("u", 0), ("w", 0)}),
+            frozenset({("u", 1), ("w", 2)}),
+            frozenset({("u", 2), ("w", 1)}),
+        }
+    ),
+    boundary_order=(),
+)
+
+
+class TestValidation:
+    def test_disconnected(self):
+        p = PlabicGraph(
+            internal=frozenset(),
+            leaves=frozenset("abcd"),
+            black=frozenset("ac"),
+            edges=frozenset(
+                {frozenset({("a", 0), ("b", 0)}), frozenset({("c", 0), ("d", 0)})}
+            ),
+            boundary_order=tuple("abcd"),
+        )
+        assert validate(p) == ["graph is disconnected"]
+
+    def test_nonplanar_rotation(self):
+        # reverse the rotation at one vertex of a square fence: genus jumps
+        p = fence(S1, T1)
+        swap = {("c0.b", 0): ("c0.b", 1), ("c0.b", 1): ("c0.b", 0)}
+        edges = {frozenset(swap.get(x, x) for x in e) for e in p.edges}
+        q = PlabicGraph(p.internal, p.leaves, p.black, edges, p.boundary_order)
+        assert validate(q) == ["map has genus > 0 (V-E+F = 0, expected 2)"]
+
+    def test_leafless_needs_outer_dart(self):
+        assert validate(THETA) == ["leafless graph needs an outer-face dart"]
+        marked = PlabicGraph(
+            THETA.internal, THETA.leaves, THETA.black, THETA.edges, (), ("u", 0)
+        )
+        assert validate(marked) == []
+
+    def test_single_dart_edge(self):
+        p = PlabicGraph(
+            internal=frozenset({"u"}),
+            leaves=frozenset(),
+            black=frozenset(),
+            edges=frozenset({frozenset({("u", 0)}), frozenset({("u", 1), ("u", 2)})}),
+            boundary_order=(),
+        )
+        assert validate(p) == ["edge [('u', 0)] does not pair two distinct darts"]
+
+
 class TestFenceQuivers:
     def test_fence_quiver_mutation_equivalent_to_divide_quiver(self):
         s = scannable(3, (2,), (1, 2, 1), (1,))
