@@ -1,4 +1,5 @@
-"""Shared search-budget and verdict types, and the text-format line reader.
+"""Shared search-budget and verdict types, the integer determinant, and the
+text-format line reader.
 
 Every semi-decidable search in this package (braid isotopy, quiver mutation
 equivalence, plabic move equivalence) returns one of three verdicts:
@@ -68,6 +69,49 @@ class Unknown:
 
 
 Verdict = Any  # Equivalent | DistinctByInvariant | Unknown
+
+
+# ---------------------------------------------------------------------------
+# Integer linear algebra
+
+
+def bareiss(m) -> tuple[int, int]:
+    """``(determinant, rank)`` of a square integer matrix by fraction-free
+    elimination (Bareiss 1968).
+
+    Pivot ``p`` turns each later row into ``(p row - f top) / prev``, with
+    ``f`` its entry in the pivot column; every entry is then a minor of the
+    input (Sylvester's identity), so the division is exact, also when a
+    column without a pivot is skipped.  A row with ``f = 0`` would only be
+    scaled by ``p / prev``, so it is left alone until its ``f`` is nonzero.
+    """
+    m = [list(row) for row in m]
+    n = len(m)
+    since = [1] * n  # row r holds its true value times since[r] / prev
+    sign, prev, rank = 1, 1, 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if m[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            since[rank], since[piv] = since[piv], since[rank]
+            sign = -sign
+        top = m[rank][col:]
+        if since[rank] != prev:
+            top = [x * prev // since[rank] for x in top]
+        p = top[0]
+        for r in range(rank + 1, n):
+            row = m[r]
+            f = row[col]
+            if f:
+                # (p (row prev / since) - (f prev / since) top) / prev
+                d = since[r]
+                row[col:] = [(p * x - f * y) // d for x, y in zip(row[col:], top)]
+                since[r] = p
+        prev = p
+        rank += 1
+    return (sign * prev if rank == n else 0), rank
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,6 @@ def ag_diagram(d: PlanarDivide) -> AGDiagram:
         a, b = sorted(e)
         ra, rb = dart_region.get(a), dart_region.get(b)
         if ra is not None and rb is not None:
-            if ra == rb:
-                raise SignConflict(f"1-cell {sorted(e)} bounds one region twice")
             edges.append((("region", min(ra, rb)), ("region", max(ra, rb))))
     return AGDiagram(tuple(sorted(d.nodes)), signs, tuple(edges))
 

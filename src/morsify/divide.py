@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, NamedTuple, Optional
 
 from ._common import read_directives
@@ -251,6 +252,7 @@ def parse_planar_divide(text: str) -> PlanarDivide:
     edges: list = []
     boundary: tuple = ()
     outer: Optional[Dart] = None
+    boundary_fail = partial(DivideParseError, line=0)  # until a boundary line
     used_slots: set = set()
     kinds = ((nodes, 4, "node"), (endpoints, 1, "endpoint"))
 
@@ -269,7 +271,7 @@ def parse_planar_divide(text: str) -> PlanarDivide:
                 used_slots.add(x)
             edges.append(frozenset({a, b}))
         elif kw == "boundary":
-            boundary = tuple(args)
+            boundary, boundary_fail = tuple(args), fail
             for e in boundary:
                 if e not in endpoints:
                     raise fail(f"boundary lists unknown endpoint {e!r}")
@@ -278,6 +280,8 @@ def parse_planar_divide(text: str) -> PlanarDivide:
     for e in sorted(endpoints):
         if (e, 0) not in used_slots:
             raise DivideParseError(f"endpoint {e!r} has no edge", 0)
+    if sorted(boundary) != sorted(endpoints):
+        raise boundary_fail("boundary must list every endpoint exactly once")
     return PlanarDivide(
         frozenset(nodes), frozenset(endpoints), frozenset(edges), boundary, 0, outer
     )

@@ -8,7 +8,8 @@ from the rest of the diagram.  Positive braid words close up to diagrams via
 
 Invariants: component count, the (one-variable) Alexander polynomial -- via
 the reduced Burau representation for braid words and via the Fox/Wirtinger
-matrix for diagrams, both computed exactly by rational evaluation and
+matrix for diagrams, both evaluated at the integers t = 2, 3, ... with integer
+arithmetic only (Bareiss determinants) and recovered by exact integer
 interpolation -- the Kauffman bracket (capped state count), and the Jones
 polynomial in the half-integer variable ``s`` with ``s^2 = t``.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._common import read_directives
+from ._common import bareiss, read_directives
 
 Word = tuple  # of nonzero ints; letter i > 0 crosses strands i, i+1 positively
 
@@ -128,40 +129,37 @@ def parse_poly(text: str, var: str = "t") -> LaurentPoly:
     return LaurentPoly.from_dict(out)
 
 
-def _interpolate(xs: list, ys: list) -> list:
-    """Newton interpolation over the rationals; returns coefficients of
-    ascending powers."""
-    n = len(xs)
-    divided = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - j])
-    # expand the Newton form into monomial coefficients
-    coeffs = [Fraction(0)] * n
-    acc = [Fraction(1)] + [Fraction(0)] * (n - 1)  # running product poly
-    for j in range(n):
-        for i in range(n):
-            coeffs[i] += divided[j] * acc[i]
-        if j + 1 < n:
-            # acc *= (x - xs[j])
-            nxt = [Fraction(0)] * n
-            for i in range(n - 1):
-                nxt[i + 1] += acc[i]
-                nxt[i] -= acc[i] * xs[j]
-            acc = nxt
-    return coeffs
+_T0 = 2  # the first evaluation point of both Alexander routes; then 3, 4, ...
 
 
-def _poly_from_fractions(coeffs: list) -> LaurentPoly:
-    out: dict = {}
-    for e, c in enumerate(coeffs):
-        if c != 0:
-            if c.denominator != 1:
-                raise ArithmeticError(
-                    "interpolated polynomial has a non-integer coefficient"
-                )
-            out[e] = int(c)
-    return LaurentPoly.from_dict(out)
+def _poly_through(ys: list) -> LaurentPoly:
+    """The integer polynomial taking the values ``ys`` at t = 2, 3, ...
+
+    The j-th forward difference divided by j! is the coefficient of the
+    falling factorial (t-2)(t-3)...(t-1-j); that basis and the monomials
+    differ by a unimodular change, so the division is exact exactly when
+    every monomial coefficient is an integer.
+    """
+    newton = []
+    diffs = list(ys)
+    fact = 1
+    for j in range(len(ys)):
+        fact *= max(j, 1)  # j!
+        c, r = divmod(diffs[0], fact)
+        if r:
+            raise ArithmeticError(
+                "interpolated polynomial has a non-integer coefficient"
+            )
+        newton.append(c)
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    coeffs: list = []  # ascending powers; Horner's rule on the Newton form
+    for j in range(len(newton) - 1, -1, -1):
+        a = _T0 + j
+        coeffs = [0] + coeffs  # times t, then minus a times the old value
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= a * coeffs[i + 1]
+        coeffs[0] += newton[j]
+    return LaurentPoly(tuple(enumerate(coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,89 +269,66 @@ def component_count(d: LinkDiagram) -> int:
 # Alexander polynomial
 
 
-def _burau_letter(k: int, letter: int, t: Fraction) -> list:
-    """The unreduced Burau matrix of one braid letter at the value ``t``
-    (fixing the all-ones vector)."""
-    m = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    p = abs(letter) - 1
-    if letter > 0:
-        m[p][p] = 1 - t
-        m[p + 1][p] = Fraction(1)
-        m[p][p + 1] = t
-        m[p + 1][p + 1] = Fraction(0)
-    else:
-        m[p][p] = Fraction(0)
-        m[p + 1][p] = 1 / t
-        m[p][p + 1] = Fraction(1)
-        m[p + 1][p + 1] = 1 - 1 / t
-    return m
+def _reduced_burau_det(word: Word, k: int, t: int) -> int:
+    """``t^(neg (k-1)) det(I - R)`` for the reduced Burau matrix ``R`` of the
+    word at the integer ``t``, where ``neg`` counts the inverse letters.
 
-
-def _mat_mul(a: list, b: list) -> list:
-    n = len(a)
-    return [
-        [sum(a[i][x] * b[x][j] for x in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _det(m: list) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def _reduced_burau_det(word: Word, k: int, t: Fraction) -> Fraction:
-    """det(I - reduced Burau of the word) at the value ``t``."""
-    u = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for letter in word:
-        u = _mat_mul(u, _burau_letter(k, letter, t))
+    The unreduced matrix (fixing the all-ones vector) is built by columns:
+    a letter at ``p`` rewrites columns ``p`` and ``p + 1`` only.  An inverse
+    letter acts as ``t B^-1``, which has integer entries; the columns it
+    leaves alone owe that factor ``t``, paid when they are next touched.
+    """
     if k == 1:
-        return Fraction(1)
+        return 1
+    cols = [[int(i == j) for i in range(k)] for j in range(k)]
+    scale = 0  # inverse letters so far
+    paid = [0] * k  # the scale each column has been multiplied up to
+
+    def column(j: int) -> list:
+        owed, paid[j] = scale - paid[j], scale
+        return [x * t**owed for x in cols[j]] if owed else cols[j]
+
+    for letter in word:
+        p = abs(letter) - 1
+        a, b = column(p), column(p + 1)
+        if letter > 0:
+            cols[p] = [(1 - t) * x + y for x, y in zip(a, b)]
+            cols[p + 1] = [t * x for x in a]
+        else:
+            scale += 1
+            paid[p] = paid[p + 1] = scale
+            cols[p] = b
+            cols[p + 1] = [t * x + (t - 1) * y for x, y in zip(a, b)]
+    cols = [column(j) for j in range(k)]
     # quotient by the fixed all-ones vector: change basis to
     # (e_0, ..., e_{k-2}, ones); the induced action is the leading block
     # of P^-1 U P, and P^-1 y = (y_0 - y_{k-1}, ..., y_{k-2} - y_{k-1}, y_{k-1})
-    red = [[Fraction(0)] * (k - 1) for _ in range(k - 1)]
-    for j in range(k - 1):
-        col = [u[i][j] for i in range(k)]  # U e_j
-        for i in range(k - 1):
-            red[i][j] = col[i] - col[k - 1]
+    unit = t**scale
     m = [
-        [Fraction(int(i == j)) - red[i][j] for j in range(k - 1)]
+        [unit * (i == j) - cols[j][i] + cols[j][k - 1] for j in range(k - 1)]
         for i in range(k - 1)
     ]
-    return _det(m)
+    return bareiss(m)[0]
 
 
 def _alexander_of_word(word: Word, k: int) -> LaurentPoly:
-    neg = sum(1 for letter in word if letter < 0)  # clears the 1/t powers
-    degree = len(word) + k + neg + 2
-    xs = [Fraction(i) for i in range(2, degree + 3)]
+    # the value is t^neg det(I - R) (1 - t) / (1 - t^k), where t^neg clears
+    # the 1/t powers and the determinant comes scaled by t^(neg (k-1))
+    neg = sum(1 for letter in word if letter < 0)
     ys = []
-    for t in xs:
-        q = _reduced_burau_det(word, k, t) * (1 - t)
-        ys.append(q * t**neg / (1 - t**k))
-    return _poly_from_fractions(_interpolate(xs, ys)).normalize()
+    for t in range(_T0, _T0 + len(word) + k + neg + 3):
+        num = _reduced_burau_det(word, k, t) * (1 - t)
+        y, r = divmod(num, t ** (neg * (k - 2)) * (1 - t**k))
+        if r:
+            raise ArithmeticError("scaled Burau determinant is not exactly divisible")
+        ys.append(y)
+    return _poly_through(ys).normalize()
 
 
-def _wirtinger_matrix(d: LinkDiagram, t: Fraction):
-    """The Fox matrix of the diagram's Wirtinger presentation at ``t``:
-    one row per crossing, one column per over-strand class."""
+def _fox_columns(d: LinkDiagram) -> tuple[list, int]:
+    """Per crossing, the columns of its under-in, over and under-out arcs in
+    the Fox matrix of the Wirtinger presentation (one column per over-strand
+    class), its sign, and the number of columns."""
     parent: dict = {}
 
     def find(x):
@@ -368,20 +343,28 @@ def _wirtinger_matrix(d: LinkDiagram, t: Fraction):
             parent[rb] = rd
     classes = sorted({find(x) for arcs, _ in d.crossings for x in arcs}, key=str)
     col = {c: i for i, c in enumerate(classes)}
+    columns = [
+        (col[find(a)], col[find(b)], col[find(c)], sign)
+        for (a, b, c, _), sign in d.crossings
+    ]
+    return columns, len(classes)
+
+
+def _wirtinger_matrix(columns: list, g: int, t: int) -> list:
+    """The Fox matrix at the integer ``t``: one row per crossing."""
     rows = []
-    for (a, b, c, dd), sign in d.crossings:
-        row = [Fraction(0)] * len(classes)
-        over = col[find(b)]
+    for a, over, c, sign in columns:
+        row = [0] * g
         if sign > 0:
-            row[col[find(a)]] += t
+            row[a] += t
             row[over] += 1 - t
-            row[col[find(c)]] += -1
+            row[c] -= 1
         else:
-            row[col[find(a)]] += 1
+            row[a] += 1
             row[over] += t - 1
-            row[col[find(c)]] += -t
+            row[c] -= t
         rows.append(row)
-    return rows, len(classes)
+    return rows
 
 
 def _alexander_of_diagram(d: LinkDiagram) -> LaurentPoly:
@@ -392,22 +375,21 @@ def _alexander_of_diagram(d: LinkDiagram) -> LaurentPoly:
         return LaurentPoly.constant(1)
     if n == 0:
         raise ValueError("empty diagram has no link")
-    degree = n + 2
-    xs = [Fraction(i) for i in range(2, degree + 3)]
+    columns, g = _fox_columns(d)
+    # Every crossing ends exactly one arc (its incoming under-strand), so
+    # g = n plus the components that never pass under, and g >= n.  Delete
+    # the last column and, when g = n, the last row: one Wirtinger relation
+    # follows from the others, and for a split diagram the minor is singular
+    # either way.  With two components that never pass under, the n rows
+    # have no minor of size g - 1 at all: the polynomial is 0 (a split link).
+    if g - 1 > n:
+        return LaurentPoly(())
+    columns = columns[: g - 1]
     ys = []
-    for t in xs:
-        rows, g = _wirtinger_matrix(d, t)
-        # delete one column; if rows still outnumber columns, also delete rows
-        minor = [row[: g - 1] for row in rows]
-        while len(minor) > g - 1:
-            minor.pop()
-        if len(minor) < g - 1:
-            raise ValueError(
-                "diagram has an over-strand with no underpass; "
-                "its Fox matrix is not square"
-            )
-        ys.append(_det(minor))
-    return _poly_from_fractions(_interpolate(xs, ys)).normalize()
+    for t in range(_T0, _T0 + g):  # the minor's determinant has degree < g
+        minor = [row[:-1] for row in _wirtinger_matrix(columns, g, t)]
+        ys.append(bareiss(minor)[0])
+    return _poly_through(ys).normalize()
 
 
 def alexander(x: Union[Word, LinkDiagram], k: Optional[int] = None) -> LaurentPoly:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
-from ._common import read_directives
+from ._common import line_error, read_directives
 from ._maps import check_map, closed_map, format_map, map_darts, parse_dart
 from ._maps import split_faces, twin_map, two_colouring
 from .divide import PlanarDivide, ScannableDivide, SiteDescriptor
@@ -591,18 +591,18 @@ class FenceWord:
 def parse_fence_word(text: str) -> FenceWord:
     k = None
     letters = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        j = 0
-        if toks[0] == "k":
+    # letters may follow the strand count on the ``k`` line, so the lines
+    # are token lists rather than directives
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if toks[:1] == ["k"]:
+            if len(toks) < 2:
+                raise line_error("k takes a strand count", ln)
             k = int(toks[1])
-            j = 2
-        for t in toks[j:]:
+            toks = toks[2:]
+        for t in toks:
             if t[0] not in ("s", "t") or not t[1:].isdigit():
-                raise ValueError(f"malformed connector token {t!r}")
+                raise line_error(f"malformed connector token {t!r}", ln)
             letters.append((t[0], int(t[1:])))
     if k is None:
         raise ValueError("missing strand count 'k <int>'")

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
-from ._common import read_directives
+from ._common import bareiss, read_directives
 
 
 @dataclass(frozen=True)
@@ -202,43 +201,10 @@ def is_isomorphic(q1: Quiver, q2: Quiver, up_to_reversal: bool = False) -> bool:
 # Mutation invariants and mutation equivalence
 
 
-def _det_and_rank(b: tuple) -> tuple[int, int]:
-    n = len(b)
-    m = [[Fraction(x) for x in row] for row in b]
-    det = Fraction(1)
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            det = Fraction(0)
-            continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-            det = -det
-        det *= m[row][col]
-        inv = 1 / m[row][col]
-        for r in range(row + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[row][c]
-        row += 1
-        rank += 1
-    if rank < n:
-        det = Fraction(0)
-    assert det.denominator == 1
-    return abs(int(det)), rank
-
-
 def quick_invariants(q: Quiver) -> tuple:
     """Invariants preserved by every mutation: size, |det|, rank."""
-    d, r = _det_and_rank(q.b)
-    return (q.n, d, r)
+    d, r = bareiss(q.b)
+    return (q.n, abs(d), r)
 
 
 def mutation_equivalent(

@@ -2,14 +2,16 @@
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsify.agquiver import ag_diagram, format_ag, quiver_of_divide
+from morsify.agquiver import SignConflict, ag_diagram, format_ag, quiver_of_divide
 from morsify.divide import (
     cell_count,
     lissajous,
     parse_planar_divide,
+    regions,
     scannable,
     scannable_to_planar,
     wiring_diagram,
@@ -87,6 +89,18 @@ class TestDiagram:
         assert "v b1 b" in text
         assert any(line.startswith("v r0 ") for line in text.splitlines())
         assert all(line.split()[0] in ("v", "e") for line in text.splitlines())
+
+    def test_one_cell_bounding_one_region_twice(self):
+        # swapping slots 1 and 2 of b3 makes a 1-cell with the same region on
+        # both sides; the sign constraints catch it as a region opposing itself
+        text = TRIANGLE_ARC.replace("b3.1", "@").replace("b3.2", "b3.1")
+        d = parse_planar_divide(text.replace("@", "b3.2"))
+        where = {x: r.index for r in regions(d) for x in r.darts}
+        sides = [{where.get(x) for x in e} for e in d.edges]
+        assert any(len(s) == 1 and None not in s for s in sides)
+        with pytest.raises(SignConflict) as err:
+            ag_diagram(d)
+        assert str(err.value) == "regions 0 and 0 cannot satisfy the sign constraints"
 
 
 class TestQuiver:

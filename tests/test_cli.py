@@ -8,7 +8,7 @@ from morsify.link import parse_link_diagram
 from morsify.plabic import format_plabic, parse_plabic
 from morsify.quiver import parse_quiver
 
-from test_divide import TRIANGLE_ARC
+from test_divide import HYPERBOLIC_NODE, TRIANGLE_ARC
 from test_plabic import NO_ORIENTATION
 
 P1_DIVIDE = "k 3\nL 2\nE 1 1 2 1\nR 1\n"
@@ -252,6 +252,16 @@ class TestErrors:
         f.write_text(text)
         code, _, err = run(capsys, argv[0], str(f), *argv[1:])
         assert code == 1 and "error: line" in err
+
+    @pytest.mark.parametrize("verb", ["regions", "quiver"])
+    def test_incomplete_boundary(self, capsys, tmp_path, verb):
+        f = tmp_path / "bad.pdv"
+        f.write_text(HYPERBOLIC_NODE.replace("boundary e1 e2 e3 e4", "boundary e1 e2"))
+        code, out, err = run(capsys, verb, str(f))
+        assert code == 1 and out == ""
+        assert err.strip() == (
+            "error: line 11: boundary must list every endpoint exactly once"
+        )
 
     @pytest.mark.parametrize("argv", [["jones"], ["fingerprint", "--jones"]])
     def test_jones_cap(self, capsys, argv):

@@ -23,7 +23,7 @@ from morsify.link import (
     parse_link_diagram,
     parse_poly,
 )
-from morsify.link import _DELTA, _interpolate, _poly_from_fractions
+from morsify.link import _DELTA, _poly_through
 
 
 def poly(*coeffs) -> LaurentPoly:
@@ -36,11 +36,27 @@ def torus_word(p: int, q: int) -> tuple:
 
 
 def torus_knot_alexander(p: int, q: int) -> LaurentPoly:
-    # (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), for coprime p, q
-    deg = (p - 1) * (q - 1)
-    xs = [Fraction(i) for i in range(2, deg + 4)]
-    ys = [(x ** (p * q) - 1) * (x - 1) / ((x**p - 1) * (x**q - 1)) for x in xs]
-    return _poly_from_fractions(_interpolate(xs, ys)).normalize()
+    # (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), for coprime p, q, by exact
+    # long division of ascending coefficient lists
+    def minus_one(m):  # t^m - 1
+        return [-1] + [0] * (m - 1) + [1]
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    num = mul(minus_one(p * q), minus_one(1))
+    den = mul(minus_one(p), minus_one(q))  # monic
+    quot = [0] * (len(num) - len(den) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = c = num[i + len(den) - 1]
+        for j, d in enumerate(den):
+            num[i + j] -= c * d
+    assert not any(num)
+    return poly(*quot).normalize()
 
 
 def brute_bracket(d: LinkDiagram) -> LaurentPoly:
@@ -121,6 +137,12 @@ class TestPolynomials:
         p = LaurentPoly(((-2, 1), (1, -2)))
         assert p.normalize() == LaurentPoly(((0, -1), (3, 2)))
 
+    def test_integer_interpolation(self):
+        # values at t = 2, 3, 4
+        assert _poly_through([0, 1, 4]) == poly(4, -4, 1)  # (t - 2)^2
+        with pytest.raises(ArithmeticError, match="non-integer coefficient"):
+            _poly_through([0, 0, 1])  # (t - 2)(t - 3) / 2
+
     def test_round_trip(self):
         p = LaurentPoly(((-1, 3), (0, -1), (4, 2)))
         assert parse_poly(format_poly(p)) == p
@@ -159,6 +181,30 @@ class TestAlexander:
                 for _ in range(rng.randint(1, 7))
             )
             assert alexander(closure(w, k), None) == alexander(w, k), w
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(
+                    st.integers(1, k - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+                    max_size=30,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_wirtinger_equals_burau(self, case):
+        k, letters = case
+        w = tuple(letters)
+        assert alexander(closure(w, k)) == alexander(w, k)
+
+    def test_two_components_never_passing_under(self):
+        # two components only ever pass over: the Fox matrix has fewer rows
+        # than the minors the polynomial needs, and the link is split
+        w = (-1, 4, -3, -4, 1)
+        assert alexander(closure(w, 5)).is_zero
+        assert alexander(w, 5).is_zero
 
     def test_markov_stabilization(self):
         w = (1, 1, 2, 1)

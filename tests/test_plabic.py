@@ -116,6 +116,18 @@ class TestFences:
         w = FenceWord(3, (S1, T2, S2, S1))
         assert parse_fence_word(format_fence_word(w)) == w
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("k\n", "line 1: k takes a strand count"),
+            ("# comment\nk 2\ns1 x1\n", "line 3: malformed connector token 'x1'"),
+        ],
+    )
+    def test_text_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_fence_word(text)
+        assert str(err.value) == message
+
     def test_empty_word_rejected(self):
         with pytest.raises(DisconnectedFence):
             fence_of_word(FenceWord(2, ()))

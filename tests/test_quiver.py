@@ -1,11 +1,13 @@
 """Quiver mutation, canonical forms, mutation equivalence."""
 
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morsify._common import bareiss
 from morsify.quiver import (
     Budget,
     DistinctByInvariant,
@@ -91,6 +93,38 @@ class TestMutation:
         q = random_quiver(rng, n, mmax=1)
         m = mutate_seq(q, [k % n for k in ks])
         assert quick_invariants(m) == quick_invariants(q)
+
+
+def leibniz(m) -> int:
+    total = 0
+    for perm in permutations(range(len(m))):
+        term = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+square = st.integers(0, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@given(square)
+@settings(max_examples=200, deadline=None)
+def test_bareiss_against_minors(m):
+    # determinant by permutation expansion, rank as the largest nonzero minor
+    n = len(m)
+    rank = max(
+        r
+        for r in range(n + 1)
+        for rows in combinations(range(n), r)
+        for cols in combinations(range(n), r)
+        if leibniz([[m[i][j] for j in cols] for i in rows])
+    )
+    assert bareiss(m) == (leibniz(m), rank)
 
 
 class TestCanonical:
