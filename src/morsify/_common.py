@@ -1,5 +1,5 @@
-"""Shared search-budget and verdict types, the integer determinant, and the
-text-format line reader.
+"""Shared search-budget and verdict types, the integer determinant, the
+union-find, and the text-format line reader.
 
 Every semi-decidable search in this package (braid isotopy, quiver mutation
 equivalence, plabic move equivalence) returns one of three verdicts:
@@ -14,12 +14,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Callable, Hashable, Iterator, Union
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps shared by all equivalence searches."""
+    """Caps shared by all equivalence searches.
+
+    What one of ``max_states`` is differs by search (and CLI verb):
+
+    * ``isotopy`` (``positive_isotopic``, ``solid_torus_isotopic``): one
+      normal form not met before;
+    * ``mut-equiv`` (``mutation_equivalent``): one mutation looked up, also
+      when its quiver was met before;
+    * ``move-equiv`` (``move_equivalent``): one move looked up within the size
+      cap, also when its graph was met before;
+    * ``yb_as_moves``: one flip or square move looked up, as for
+      ``move-equiv``.
+    """
 
     max_states: int = 10**6
     max_seconds: float = 300.0
@@ -68,7 +80,27 @@ class Unknown:
         return False
 
 
-Verdict = Any  # Equivalent | DistinctByInvariant | Unknown
+Verdict = Union[Equivalent, DistinctByInvariant, Unknown]
+
+
+class UnionFind:
+    """Disjoint sets of hashable items, each a singleton until first joined;
+    ``union(x, y)`` hangs the root of ``x`` under the root of ``y``."""
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def find(self, x: Hashable) -> Hashable:
+        parent = self.parent
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: Hashable, y: Hashable) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ Conventions
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
+from ._search import Frontier
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +310,36 @@ def right_quotient_by_gen(nf: NormalForm, j: int) -> PositiveBraidWord:
 
 
 # ---------------------------------------------------------------------------
-# Solid-torus positive isotopy (Artin relations + cyclic shifts)
+# Isotopy moves and the search over normal forms
 
 
 def _nf_key(nf: NormalForm):
     return (nf.k, nf.delta_power, nf.factors)
+
+
+def _cyclic_moves(nf: NormalForm) -> Iterator[tuple[tuple, PositiveBraidWord]]:
+    for j in sorted(left_divisor_gens(nf)):
+        rest = left_quotient_by_gen(nf, j)
+        yield ("L", j), PositiveBraidWord(nf.k, rest.letters + (j,))
+    for j in sorted(right_divisor_gens(nf)):
+        rest = right_quotient_by_gen(nf, j)
+        yield ("R", j), PositiveBraidWord(nf.k, (j,) + rest.letters)
+
+
+def _markov_moves(
+    nf: NormalForm, k_cap: int
+) -> Iterator[tuple[tuple, PositiveBraidWord]]:
+    """Positive Markov moves of the canonical word: drop the only top
+    generator (at index ``i``) with a cyclic shift, or add a strand below
+    ``k_cap`` strands."""
+    w = nf_to_word(nf)
+    positions = [i for i, a in enumerate(w.letters) if a == w.k - 1]
+    if len(positions) == 1:
+        i = positions[0]
+        rest = w.letters[i + 1 :] + w.letters[:i]
+        yield ("destab", i), PositiveBraidWord(w.k - 1, rest)
+    if w.k < k_cap:
+        yield ("stab",), PositiveBraidWord(w.k + 1, w.letters + (w.k,))
 
 
 def conjugation_neighbors(
@@ -322,30 +347,47 @@ def conjugation_neighbors(
 ) -> Iterator[tuple[tuple[str, int], PositiveBraidWord]]:
     """One-letter cyclic moves: strip a dividing generator from one side and
     reattach it on the other."""
-    nf = left_normal_form(w)
-    for j in sorted(left_divisor_gens(nf)):
-        rest = left_quotient_by_gen(nf, j)
-        yield ("L", j), PositiveBraidWord(w.k, rest.letters + (j,))
-    for j in sorted(right_divisor_gens(nf)):
-        rest = right_quotient_by_gen(nf, j)
-        yield ("R", j), PositiveBraidWord(w.k, (j,) + rest.letters)
+    return _cyclic_moves(left_normal_form(w))
 
 
-def apply_conjugation(w: PositiveBraidWord, move: tuple[str, int]) -> PositiveBraidWord:
-    """Replay one witness step of :func:`solid_torus_isotopic`."""
-    side, j = move
+def apply_conjugation(w: PositiveBraidWord, move: tuple) -> PositiveBraidWord:
+    """Replay one witness step of :func:`solid_torus_isotopic` or
+    :func:`positive_isotopic`: ``("L", j)`` and ``("R", j)`` move ``sigma_j``
+    from one end of the word to the other, ``("destab", i)`` drops the only
+    top generator, at index ``i`` of the canonical word, and ``("stab",)``
+    adds a strand."""
     nf = left_normal_form(w)
-    if side == "L":
-        if j not in left_divisor_gens(nf):
-            raise ValueError(f"sigma_{j} does not left-divide the word")
-        rest = left_quotient_by_gen(nf, j)
-        return PositiveBraidWord(w.k, rest.letters + (j,))
-    if side == "R":
-        if j not in right_divisor_gens(nf):
-            raise ValueError(f"sigma_{j} does not right-divide the word")
-        rest = right_quotient_by_gen(nf, j)
-        return PositiveBraidWord(w.k, (j,) + rest.letters)
-    raise ValueError(f"unknown move side {side!r}")
+    for m, nxt in chain(_cyclic_moves(nf), _markov_moves(nf, w.k + 1)):
+        if m == move:
+            return nxt
+    raise ValueError(f"move {move!r} does not apply to {format_braid_word(w)}")
+
+
+def _rank(nf: NormalForm) -> tuple[int, int]:
+    return nf.k, len(nf_to_word(nf))
+
+
+def _braid_search(u, v, budget: Budget, moves) -> Optional[Verdict]:
+    """Search the normal forms reachable from ``u`` by ``moves`` for that of
+    ``v``, fewer strands and shorter words first; None when they run out."""
+
+    def neighbours(nf):
+        return ((m, left_normal_form(w)) for m, w in moves(nf))
+
+    front = Frontier(left_normal_form(u), _nf_key, neighbours, _rank)
+    target = _nf_key(left_normal_form(v))
+    if target in front.seen:
+        return Equivalent(())
+    clock = budget.start()
+    while front:
+        for key, path, new in front.step():
+            # one state per new normal form, after the goal test
+            if new:
+                if key == target:
+                    return Equivalent(path)
+                if not clock.tick():
+                    return Unknown("budget exhausted")
+    return None
 
 
 def solid_torus_isotopic(
@@ -354,56 +396,22 @@ def solid_torus_isotopic(
     """Decide whether ``u`` and ``v`` are related by Artin relations plus
     cyclic shifts (closed positive braids in the solid torus)."""
     if u.k != v.k:
-        raise ValueError("strand count mismatch")
+        # the winding number about the core of the solid torus
+        return DistinctByInvariant("strand counts differ")
     if len(u) != len(v):
         return DistinctByInvariant("word lengths differ")
     if cycle_type(underlying_permutation(u)) != cycle_type(underlying_permutation(v)):
         return DistinctByInvariant("permutation cycle types differ")
-    nf_u, nf_v = left_normal_form(u), left_normal_form(v)
-    target = _nf_key(nf_v)
-    start = nf_to_word(nf_u)
-    if _nf_key(nf_u) == target:
-        return Equivalent(())
-    clock = budget.start()
-    seen: dict[tuple, tuple] = {_nf_key(nf_u): ()}
-    queue = deque([(start, _nf_key(nf_u))])
-    while queue:
-        cur, cur_key = queue.popleft()
-        for move, nxt in conjugation_neighbors(cur):
-            nxt_nf = left_normal_form(nxt)
-            key = _nf_key(nxt_nf)
-            if key in seen:
-                continue
-            path = seen[cur_key] + (move,)
-            if key == target:
-                return Equivalent(path)
-            seen[key] = path
-            if not clock.tick():
-                return Unknown("budget exhausted")
-            queue.append((nf_to_word(nxt_nf), key))
-    return DistinctByInvariant("conjugacy orbit exhausted without meeting")
-
-
-# ---------------------------------------------------------------------------
-# Full positive isotopy (adds positive Markov moves)
+    verdict = _braid_search(u, v, budget, _cyclic_moves)
+    if verdict is None:
+        return DistinctByInvariant("conjugacy orbit exhausted without meeting")
+    return verdict
 
 
 def markov_invariant(w: PositiveBraidWord) -> tuple[int, int]:
     """(exponent sum - strand count, closure component count): both preserved
     by Artin relations, cyclic shifts, and positive Markov moves."""
     return len(w) - w.k, cycle_count(underlying_permutation(w))
-
-
-def _destabilizations(w: PositiveBraidWord) -> Iterator[tuple[tuple, PositiveBraidWord]]:
-    top = w.k - 1
-    if top < 1:
-        return
-    positions = [i for i, a in enumerate(w.letters) if a == top]
-    if len(positions) != 1:
-        return
-    i = positions[0]
-    rest = w.letters[i + 1 :] + w.letters[:i]
-    yield ("destab", i), PositiveBraidWord(w.k - 1, rest)
 
 
 def positive_isotopic(
@@ -416,42 +424,15 @@ def positive_isotopic(
             "markov invariant (exponent sum - strands, components) differs"
         )
     k_cap = max(u.k, v.k) + 1
-    target = _nf_key(left_normal_form(v))
-    start_key = _nf_key(left_normal_form(u))
-    if start_key == target:
-        return Equivalent(())
-    clock = budget.start()
-    seen: dict[tuple, tuple] = {start_key: ()}
-    # explore smaller braids first (shrinking-first heuristic)
-    heap: list[tuple[int, int, int, PositiveBraidWord, tuple]] = []
-    counter = 0
-    heapq.heappush(heap, (u.k, len(u), counter, canonical_word(u), start_key))
-    while heap:
-        _, _, _, cur, cur_key = heapq.heappop(heap)
-
-        def neighbors(cur=cur):
-            yield from conjugation_neighbors(cur)
-            yield from _destabilizations(cur)
-            if cur.k < k_cap:
-                yield ("stab",), PositiveBraidWord(cur.k + 1, cur.letters + (cur.k,))
-
-        for move, nxt in neighbors():
-            nxt_nf = left_normal_form(nxt)
-            key = _nf_key(nxt_nf)
-            if key in seen:
-                continue
-            path = seen[cur_key] + (move,)
-            if key == target:
-                return Equivalent(path)
-            seen[key] = path
-            if not clock.tick():
-                return Unknown("budget exhausted")
-            counter += 1
-            heapq.heappush(heap, (nxt.k, len(nxt), counter, nf_to_word(nxt_nf), key))
-    return Unknown(
-        f"reachable set exhausted within the strand cap {k_cap}; "
-        "isotopy through braids on more strands not ruled out"
+    verdict = _braid_search(
+        u, v, budget, lambda nf: chain(_cyclic_moves(nf), _markov_moves(nf, k_cap))
     )
+    if verdict is None:
+        return Unknown(
+            f"reachable set exhausted within the strand cap {k_cap}; "
+            "isotopy through braids on more strands not ruled out"
+        )
+    return verdict
 
 
 # ---------------------------------------------------------------------------

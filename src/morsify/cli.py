@@ -332,7 +332,9 @@ def _cmd_accept(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--states", type=int, default=10**6,
-                        help="search state budget (default 1000000)")
+                        help="search state budget (default 1000000); one state "
+                        "is a new normal form for isotopy, a mutation looked "
+                        "up for mut-equiv, a move looked up for move-equiv")
     common.add_argument("--seconds", type=float, default=300.0,
                         help="search time budget in seconds (default 300)")
     common.add_argument("--depth", type=int, default=2,

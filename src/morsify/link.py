@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._common import bareiss, read_directives
+from ._common import UnionFind, bareiss, read_directives
 
 Word = tuple  # of nonzero ints; letter i > 0 crosses strands i, i+1 positively
 
@@ -202,14 +202,7 @@ def closure(word: Word, k: int) -> LinkDiagram:
     for letter in word:
         if letter == 0 or not 1 <= abs(letter) <= k - 1:
             raise ValueError(f"letter {letter} out of range for {k} strands")
-    parent = list(range(k + 2 * len(word)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    joined = UnionFind()
     cur = list(range(k))
     counter = k
     crossings = []
@@ -229,13 +222,13 @@ def closure(word: Word, k: int) -> LinkDiagram:
         if cur[j] == j:
             free += 1  # a strand no letter touched
         else:
-            parent[find(cur[j])] = find(j)
+            joined.union(cur[j], j)
     relabeled = []
     fresh: dict = {}
     for arcs, sign in crossings:
         row = []
         for a in arcs:
-            r = find(a)
+            r = joined.find(a)
             if r not in fresh:
                 fresh[r] = len(fresh)
             row.append(fresh[r])
@@ -244,25 +237,12 @@ def closure(word: Word, k: int) -> LinkDiagram:
 
 
 def component_count(d: LinkDiagram) -> int:
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    labels: set = set()
+    strands = UnionFind()
     for (a, b, c, dd), _ in d.crossings:
-        labels.update((a, b, c, dd))
-        union(a, c)
-        union(b, dd)
-    return len({find(x) for x in labels}) + d.free_loops
+        strands.union(a, c)
+        strands.union(b, dd)
+    roots = {strands.find(x) for arcs, _ in d.crossings for x in arcs}
+    return len(roots) + d.free_loops
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +309,13 @@ def _fox_columns(d: LinkDiagram) -> tuple[list, int]:
     """Per crossing, the columns of its under-in, over and under-out arcs in
     the Fox matrix of the Wirtinger presentation (one column per over-strand
     class), its sign, and the number of columns."""
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    over = UnionFind()
     for (_, b, _, dd), _s in d.crossings:
-        rb, rd = find(b), find(dd)
-        if rb != rd:
-            parent[rb] = rd
-    classes = sorted({find(x) for arcs, _ in d.crossings for x in arcs}, key=str)
+        over.union(b, dd)
+    classes = sorted({over.find(x) for arcs, _ in d.crossings for x in arcs}, key=str)
     col = {c: i for i, c in enumerate(classes)}
     columns = [
-        (col[find(a)], col[find(b)], col[find(c)], sign)
+        (col[over.find(a)], col[over.find(b)], col[over.find(c)], sign)
         for (a, b, c, _), sign in d.crossings
     ]
     return columns, len(classes)

@@ -15,12 +15,12 @@ triangle-push macro expressed as a move sequence.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
-from ._common import line_error, read_directives
+from ._common import UnionFind, line_error, read_directives
 from ._maps import check_map, closed_map, format_map, map_darts, parse_dart
 from ._maps import split_faces, twin_map, two_colouring
 from .divide import PlanarDivide, ScannableDivide, SiteDescriptor
@@ -28,6 +28,7 @@ from .divide import faces as divide_faces
 from .divide import validate as divide_validate
 from .divide import apply_yb, yb_sites
 from .quiver import Quiver, quick_invariants, quiver_from_arrows
+from ._search import Frontier
 
 Dart = tuple  # (vertex_id, slot)
 
@@ -537,31 +538,31 @@ def move_equivalent(
             return DistinctByInvariant(
                 f"black-minus-white counts differ: {d1} != {d2}"
             )
-    goal = canonical_code(p2, strict_boundary_colors)
-    start = canonical_code(p1, strict_boundary_colors)
-    if start == goal:
-        return Equivalent(())
     cap_i = max(len(p1.internal), len(p2.internal)) + size_slack
     cap_l = max(len(p1.leaves), len(p2.leaves)) + size_slack
-    clock = budget.start()
-    seen = {start}
-    frontier = deque([(p1, ())])
-    while frontier:
-        p, path = frontier.popleft()
+
+    def neighbours(p):
         for m in enumerate_moves(p):
             np = apply_move(p, m)
-            if len(np.internal) > cap_i or len(np.leaves) > cap_l:
-                continue
+            if len(np.internal) <= cap_i and len(np.leaves) <= cap_l:
+                yield m, np
+
+    def code(p):
+        return canonical_code(p, strict_boundary_colors)
+
+    front = Frontier(p1, code, neighbours)
+    goal = code(p2)
+    if goal in front.seen:
+        return Equivalent(())
+    clock = budget.start()
+    while front:
+        for key, path, new in front.step():
+            # one state per move looked up within the size cap, before
+            # deduplication
             if not clock.tick():
                 return Unknown("search budget exhausted")
-            code = canonical_code(np, strict_boundary_colors)
-            if code in seen:
-                continue
-            seen.add(code)
-            npath = path + (m,)
-            if code == goal:
-                return Equivalent(npath)
-            frontier.append((np, npath))
+            if new and key == goal:
+                return Equivalent(path)
     return Unknown(
         f"orbit exhausted under size cap (+{size_slack}); "
         "equivalence through larger graphs not ruled out"
@@ -981,18 +982,7 @@ def link_of_oriented_plabic(p: PlabicGraph, o: Orientation):
     if check is None or check.heads != o.heads:
         raise ValueError("the orientation is not admissible for this graph")
 
-    parent: dict = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
+    lanes = UnionFind()
 
     def lane_in(h):  # lane arriving at h's vertex along h
         return ("lane", h)
@@ -1004,13 +994,13 @@ def link_of_oriented_plabic(p: PlabicGraph, o: Orientation):
     rot = {v: [(v, s) for s in range(3)] for v in p.internal}
     for v in sorted(p.internal | p.leaves):
         if v in p.leaves:
-            union(lane_in((v, 0)), lane_out((v, 0)))
+            lanes.union(lane_in((v, 0)), lane_out((v, 0)))
             continue
         ds = rot[v]
         if p.color(v) == "w":
             # left turns, no crossings
             for i, h in enumerate(ds):
-                union(lane_in(h), lane_out(ds[(i + 1) % 3]))
+                lanes.union(lane_in(h), lane_out(ds[(i + 1) % 3]))
             continue
         # black: right turns; the unique outgoing edge starts the cyclic order
         outs = [h for h in ds if o.points_at(twin[h])]
@@ -1029,21 +1019,24 @@ def link_of_oriented_plabic(p: PlabicGraph, o: Orientation):
     used = sorted({x for arcs, _ in crossings for x in arcs})
     relabel: dict = {}
     for x in used:
-        r = find(x)
+        r = lanes.find(x)
         if r not in relabel:
             relabel[r] = len(relabel)
     out_crossings = [
-        (tuple(relabel[find(x)] for x in arcs), sign) for arcs, sign in crossings
+        (tuple(relabel[lanes.find(x)] for x in arcs), sign) for arcs, sign in crossings
     ]
     # crossing-free strands closed through caps and white turns
     all_lanes = {lane_in(h) for h in twin}
-    roots_in_crossings = {find(x) for arcs, _ in crossings for x in arcs}
-    free = {find(x) for x in all_lanes} - roots_in_crossings
+    roots_in_crossings = {lanes.find(x) for arcs, _ in crossings for x in arcs}
+    free = {lanes.find(x) for x in all_lanes} - roots_in_crossings
     return LinkDiagram(tuple(out_crossings), free_loops=len(free))
 
 
 # ---------------------------------------------------------------------------
 # The triangle push expressed as flips and squares
+
+# the triangle-push search maps this many moves around its target
+BACK_DEPTH = 3
 
 
 def divide_of_attached(p: PlabicGraph) -> PlanarDivide:
@@ -1125,75 +1118,54 @@ def yb_as_moves(
         )
     # the push only rearranges the three gadget squares of the triangle
     allowed = frozenset(f"{n}.{s}" for n in site.region_nodes for s in range(4))
-    path = _search_flip_square_path(p, target, budget, allowed=allowed)
+    path = _search_flip_square_path(p, target, budget, allowed)
     if path is None:
         raise SiteNotFound("no flip/square path found within budget")
     return list(path)
 
 
-def _search_flip_square_path(p, target, budget, back_depth=3, allowed=None):
-    kinds = ("flipWhite", "flipBlack", "square")
+def _search_flip_square_path(p, target, budget, allowed):
+    """Flip and square moves at vertices named in ``allowed`` from ``p`` to
+    ``target``: a breadth-first search forward into the ``BACK_DEPTH``
+    neighbourhood of ``target``, then a greedy descent through it.  One
+    state per move looked up; None when the budget or the moves run out."""
 
-    def moves(g):
-        out = enumerate_moves(g, kinds)
-        if allowed is not None:
-            out = [m for m in out if {x[0] for x in m.site} <= allowed]
-        return out
+    def neighbours(g):
+        for m in enumerate_moves(g, ("flipWhite", "flipBlack", "square")):
+            if {x[0] for x in m.site} <= allowed:
+                yield m, apply_move(g, m)
 
     def canon(g):
         return canonical_code(g, strict_boundary_colors=True)
 
     clock = budget.start()
-    goal = canon(target)
-    start = canon(p)
-    if start == goal:
+    ahead = Frontier(p, canon, neighbours)
+    behind = Frontier(target, canon, neighbours)
+    (start,) = ahead.seen
+    if start in behind.seen:
         return ()
     # distance-to-target map for the last few layers
-    back = {goal: 0}
-    layer = [target]
-    for depth in range(1, back_depth + 1):
-        nxt = []
-        for g in layer:
-            for m in moves(g):
-                ng = apply_move(g, m)
-                if not clock.tick():
-                    return None
-                c = canon(ng)
-                if c not in back:
-                    back[c] = depth
-                    nxt.append(ng)
-        layer = nxt
-    # forward search until we enter the mapped region, then descend it
-    if start in back:
-        return _descend(p, back, moves, canon, clock)
-    seen = {start}
-    frontier = deque([(p, ())])
-    while frontier:
-        g, path = frontier.popleft()
-        for m in moves(g):
-            ng = apply_move(g, m)
+    while behind and len(behind.next_path()) < BACK_DEPTH:
+        for _ in behind.step():
             if not clock.tick():
                 return None
-            c = canon(ng)
-            if c in seen:
-                continue
-            seen.add(c)
-            npath = path + (m,)
-            if c in back:
-                tail = _descend(ng, back, moves, canon, clock)
-                if tail is None:
-                    return None
-                return npath + tail
-            frontier.append((ng, npath))
-    return None
-
-
-def _descend(g, back, moves, canon, clock):
+    back = {c: len(path) for c, path in behind.seen.items()}
+    # forward search until we enter the mapped region
+    path = () if start in back else None
+    while path is None and ahead:
+        for c, fpath, new in ahead.step():
+            if not clock.tick():
+                return None
+            if new and c in back:
+                path = fpath
+                break
+    if path is None:
+        return None
+    # descend the map greedily
+    g = reduce(apply_move, path, p)
     dist = back[canon(g)]
-    path: tuple = ()
     while dist > 0:
-        for m in moves(g):
-            ng = apply_move(g, m)
+        for m, ng in neighbours(g):
             if not clock.tick():
                 return None
             c = canon(ng)

@@ -7,12 +7,15 @@ arrows ``j -> i``); 2-cycles cancel by construction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
 from ._common import bareiss, read_directives
+from ._search import Frontier
+
+# mutation_equivalent explores no quiver with an arrow multiplicity above this
+MAX_MULT = 64
 
 
 @dataclass(frozen=True)
@@ -207,17 +210,12 @@ def quick_invariants(q: Quiver) -> tuple:
     return (q.n, abs(d), r)
 
 
-def mutation_equivalent(
-    q1: Quiver,
-    q2: Quiver,
-    budget: Budget = Budget(),
-    max_mult: int = 64,
-) -> Verdict:
+def mutation_equivalent(q1: Quiver, q2: Quiver, budget: Budget = Budget()) -> Verdict:
     """Bidirectional search for a mutation sequence from ``q1`` to ``q2``.
 
     ``Equivalent(witness)`` carries a sequence of mutation vertices of ``q1``
     (in the labeling of ``q1``) reaching a quiver isomorphic to ``q2``.
-    Arrow multiplicities above ``max_mult`` are not explored; if the search
+    Arrow multiplicities above ``MAX_MULT`` are not explored; if the search
     exhausts all reachable quivers under that cap the verdict is by orbit
     exhaustion, otherwise the budget yields ``Unknown``.
     """
@@ -227,57 +225,43 @@ def mutation_equivalent(
             f"mutation invariants differ: {inv1} != {inv2}"
         )
     clock = budget.start()
-    start1, start2 = canonical_key(q1), canonical_key(q2)
-    if start1 == start2:
-        return Equivalent(())
-    # bidirectional BFS over isomorphism classes
-    seen1 = {start1: ()}
-    seen2 = {start2: ()}
-    front1 = deque([(q1, ())])
-    front2 = deque([(q2, ())])
     capped = False
 
-    def expand(front, seen, other_seen):
+    def neighbours(q):
         nonlocal capped
-        q, path = front.popleft()
         for k in range(q.n):
             nq = mutate(q, k)
-            if any(abs(x) > max_mult for row in nq.b for x in row):
+            if any(abs(x) > MAX_MULT for row in nq.b for x in row):
                 capped = True
-                continue
-            if not clock.tick():
-                return None
-            key = canonical_key(nq)
-            if key in seen:
-                continue
-            npath = path + (k,)
-            seen[key] = npath
-            front.append((nq, npath))
-            if key in other_seen:
-                return key
-        return False
+            else:
+                yield k, nq
 
+    # bidirectional BFS over isomorphism classes, expanding the smaller side
+    front1 = Frontier(q1, canonical_key, neighbours)
+    front2 = Frontier(q2, canonical_key, neighbours)
+    if front1.seen.keys() == front2.seen.keys():
+        return Equivalent(())
     while front1 or front2:
-        side = front1 if (front1 and (not front2 or len(front1) <= len(front2))) else front2
-        seen, other = (seen1, seen2) if side is front1 else (seen2, seen1)
-        hit = expand(side, seen, other)
-        if hit is None:
-            return Unknown("search budget exhausted")
-        if hit is not False:
-            fwd = seen1[hit]
-            back = seen2[hit]
-            # meeting point: mutate_seq(q1, fwd) and mutate_seq(q2, back) are
-            # isomorphic.  Undo the backward path (mutation is an involution)
-            # after translating its vertex labels through the isomorphism.
-            a = mutate_seq(q1, fwd)
-            bq = mutate_seq(q2, back)
-            pi = find_isomorphism(a, bq)
-            inv_pi = {pi[i]: i for i in range(len(pi))}
-            witness = fwd + tuple(inv_pi[k] for k in reversed(back))
-            return Equivalent(witness)
+        if front1 and (not front2 or len(front1) <= len(front2)):
+            side, other = front1, front2
+        else:
+            side, other = front2, front1
+        for key, _, new in side.step():
+            # one state per mutation looked up, before deduplication
+            if not clock.tick():
+                return Unknown("search budget exhausted")
+            if new and key in other.seen:
+                fwd, back = front1.seen[key], front2.seen[key]
+                # meeting point: mutate_seq(q1, fwd) and mutate_seq(q2, back)
+                # are isomorphic.  Undo the backward path (mutation is an
+                # involution) after translating its vertex labels through the
+                # isomorphism.
+                pi = find_isomorphism(mutate_seq(q1, fwd), mutate_seq(q2, back))
+                inv_pi = {pi[i]: i for i in range(len(pi))}
+                return Equivalent(fwd + tuple(inv_pi[k] for k in reversed(back)))
     if capped:
         return Unknown(
-            f"orbits disjoint below multiplicity cap {max_mult}; "
+            f"orbits disjoint below multiplicity cap {MAX_MULT}; "
             "equivalence through larger quivers not ruled out"
         )
     return DistinctByInvariant("mutation orbits are disjoint (exhausted)")

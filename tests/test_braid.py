@@ -186,6 +186,11 @@ class TestSolidTorus:
         res = solid_torus_isotopic(word(3, [1, 1]), word(3, [1, 2]))
         assert isinstance(res, DistinctByInvariant)
 
+    def test_strand_count_mismatch(self):
+        # the strand count is the winding number about the solid torus core
+        res = solid_torus_isotopic(word(3, [1, 2]), word(2, [1]))
+        assert res == DistinctByInvariant("strand counts differ")
+
     def test_orbit_exhaustion_proof(self):
         # same length, same cycle type, but different closed braids
         u = word(3, [1, 1, 1, 2, 2])
@@ -215,6 +220,27 @@ class TestPositiveIsotopy:
         res = positive_isotopic(word(3, [1, 2] * 4), word(2, [1] * 7))
         assert isinstance(res, Unknown)
         assert "strand cap 4" in res.reason
+
+    @pytest.mark.parametrize(
+        "u, v, budget",
+        [
+            (word(3, [1, 2]), word(2, [1]), Budget()),
+            (word(2, [1, 1, 1]), word(3, [1, 1, 1, 2]), Budget(200000, 60)),
+        ],
+    )
+    def test_witnesses_replay(self, u, v, budget):
+        res = positive_isotopic(u, v, budget)
+        assert isinstance(res, Equivalent)
+        cur = u
+        for move in res.witness:
+            cur = apply_conjugation(cur, move)
+        assert positive_equal(cur, v)
+
+    def test_markov_moves_replay(self):
+        assert apply_conjugation(word(3, [1, 2]), ("destab", 1)) == word(2, [1])
+        assert apply_conjugation(word(2, [1, 1]), ("stab",)) == word(3, [1, 1, 2])
+        with pytest.raises(ValueError):
+            apply_conjugation(word(3, [2, 2]), ("destab", 0))
 
     def test_markov_invariant_values(self):
         assert markov_invariant(word(2, [1])) == (-1, 1)

@@ -194,6 +194,11 @@ class TestBraidAndLinkVerbs:
         code, out, _ = run(capsys, "isotopy", "2 : 1 1 1", "2 : 1 1")
         assert code == 0 and out.startswith("DISTINCT")
 
+    def test_solid_torus_strand_counts_differ(self, capsys):
+        code, out, _ = run(capsys, "isotopy", "--solid-torus", "3 : 1 2", "2 : 1")
+        assert code == 0
+        assert out.strip() == "DISTINCT reason: strand counts differ"
+
     def test_alex_trefoil(self, capsys):
         code, out, _ = run(capsys, "alex", "2 : 1 1 1")
         assert code == 0
