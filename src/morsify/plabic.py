@@ -15,7 +15,7 @@ triangle-push macro expressed as a move sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Optional
 
@@ -187,8 +187,13 @@ class MoveDescriptor:
     site: tuple
 
 
+# Each candidate generator is the one statement of its moves' precondition;
+# a candidate is legal when the graph its builder makes is valid.  Builders
+# raise IllegalMove only for failures that show while building.
+
+
 def _flip_candidates(p: PlabicGraph):
-    out = []
+    """An edge joining two distinct internal vertices of one colour."""
     for e in sorted(p.edges, key=sorted):
         a, b = sorted(e)
         u, v = a[0], b[0]
@@ -197,23 +202,13 @@ def _flip_candidates(p: PlabicGraph):
         if p.color(u) != p.color(v):
             continue
         kind = "flipBlack" if p.color(u) == "b" else "flipWhite"
-        out.append(MoveDescriptor(kind, (a, b)))
-    return out
+        yield MoveDescriptor(kind, (a, b))
 
 
 def _apply_flip(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
     a, b = m.site
-    if frozenset({a, b}) not in p.edges:
-        raise IllegalMove(f"no such edge {m.site}")
     u, su = a
     v, sv = b
-    if u == v or u not in p.internal or v not in p.internal:
-        raise IllegalMove("flip needs two distinct internal endpoints")
-    if p.color(u) != p.color(v):
-        raise IllegalMove("flip needs endpoints of the same color")
-    want = "flipBlack" if p.color(u) == "b" else "flipWhite"
-    if m.kind != want:
-        raise IllegalMove(f"edge color does not match move kind {m.kind}")
     pu = (u, (su + 1) % 3)
     qu = (u, (su + 2) % 3)
     rv = (v, (sv + 1) % 3)
@@ -228,19 +223,16 @@ def _apply_flip(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
         if len(ne) != 2:
             raise IllegalMove("flip would collapse an edge")
         new_edges.append(ne)
-    outer = p.outer_dart
-    if outer in portmap:
-        outer = portmap[outer]
-    return PlabicGraph(
-        p.internal, p.leaves, p.black, frozenset(new_edges), p.boundary_order, outer
-    )
+    outer = portmap.get(p.outer_dart, p.outer_dart)
+    return replace(p, edges=frozenset(new_edges), outer_dart=outer)
 
 
 def _square_candidates(p: PlabicGraph):
+    """An internal face of four distinct internal vertices of alternating
+    colours, bordered by four other faces, no two adjacent ones the same."""
     internal, boundary = faces(p)
     fidx = _face_index(internal, boundary)
     twin = p.twin()
-    out = []
     for i, f in enumerate(internal):
         if len(f) != 4:
             continue
@@ -256,44 +248,26 @@ def _square_candidates(p: PlabicGraph):
         if any(sides[j] == sides[(j + 1) % 4] for j in range(4)):
             continue
         lo = f.index(min(f))
-        site = tuple(f[lo:] + f[:lo])
-        out.append(MoveDescriptor("square", site))
-    return out
+        yield MoveDescriptor("square", tuple(f[lo:] + f[:lo]))
 
 
 def _apply_square(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
-    legal = {c.site for c in _square_candidates(p)}
-    if m.site not in legal:
-        raise IllegalMove(f"no legal square move at {m.site}")
-    vs = {x[0] for x in m.site}
-    return PlabicGraph(
-        p.internal,
-        p.leaves,
-        p.black ^ vs,
-        p.edges,
-        p.boundary_order,
-        p.outer_dart,
-    )
+    return replace(p, black=p.black ^ {x[0] for x in m.site})
 
 
 def _tail_remove_candidates(p: PlabicGraph):
+    """A leaf joined to an internal vertex of the other colour."""
     twin = p.twin()
-    out = []
     for l in sorted(p.leaves):
         v, _ = twin[(l, 0)]
         if v in p.internal and p.color(v) != p.color(l):
-            out.append(MoveDescriptor("tailRemove", (l,)))
-    return out
+            yield MoveDescriptor("tailRemove", (l,))
 
 
 def _apply_tail_remove(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
     (l,) = m.site
-    if l not in p.leaves:
-        raise IllegalMove(f"{l!r} is not a boundary vertex")
     twin = p.twin()
     v, s = twin[(l, 0)]
-    if v not in p.internal or p.color(v) == p.color(l):
-        raise IllegalMove("tail removal needs a bicolored boundary edge")
     d1 = (v, (s + 1) % 3)
     d2 = (v, (s + 2) % 3)
     far1, far2 = twin[d1], twin[d2]
@@ -332,8 +306,9 @@ def _apply_tail_remove(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
 
 
 def _tail_attach_candidates(p: PlabicGraph):
+    """A dart on a boundary face, a boundary gap of that face (gap 0 when
+    the graph has no leaves) and the colour of the new internal vertex."""
     _, boundary = faces(p)
-    out = []
     for f in boundary:
         gaps = sorted({x[1] for x in f if x[0] == "~arc"})
         if not p.leaves:
@@ -342,8 +317,7 @@ def _tail_attach_candidates(p: PlabicGraph):
         for d in graph_darts:
             for gap in gaps:
                 for color in ("b", "w"):
-                    out.append(MoveDescriptor("tailAttach", (d, gap, color)))
-    return out
+                    yield MoveDescriptor("tailAttach", (d, gap, color))
 
 
 def _fresh_ids(p: PlabicGraph, n: int) -> list[str]:
@@ -361,23 +335,7 @@ def _fresh_ids(p: PlabicGraph, n: int) -> list[str]:
 
 def _apply_tail_attach(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
     d, gap, color = m.site
-    twin = p.twin()
-    if d not in twin:
-        raise IllegalMove(f"no such dart {d}")
-    if color not in ("b", "w"):
-        raise IllegalMove(f"unknown color {color!r}")
-    internal, boundary = faces(p)
-    fidx = _face_index(internal, boundary)
-    kind, fi = fidx[d]
-    if kind != "boundary":
-        raise IllegalMove("tail attachment needs a boundary-adjacent face")
-    face = boundary[fi]
-    if p.leaves:
-        if ("~arc", gap, 0) not in face and ("~arc", gap, 1) not in face:
-            raise IllegalMove("boundary gap is not on the chosen face")
-    elif gap != 0:
-        raise IllegalMove("a leafless graph has a single boundary gap 0")
-    b_ = twin[d]
+    b_ = p.twin()[d]
     w, leaf = _fresh_ids(p, 2)
     new_edges = set(p.edges) - {frozenset({d, b_})}
     new_edges.add(frozenset({d, (w, 0)}))
@@ -404,42 +362,58 @@ def _apply_tail_attach(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
     )
 
 
-_APPLIERS = {
-    "flipWhite": _apply_flip,
-    "flipBlack": _apply_flip,
-    "square": _apply_square,
-    "tailRemove": _apply_tail_remove,
-    "tailAttach": _apply_tail_attach,
-}
+# (kinds, candidate generator, builder), in the order moves are listed
+_MOVES = (
+    (("flipWhite", "flipBlack"), _flip_candidates, _apply_flip),
+    (("square",), _square_candidates, _apply_square),
+    (("tailRemove",), _tail_remove_candidates, _apply_tail_remove),
+    (("tailAttach",), _tail_attach_candidates, _apply_tail_attach),
+)
+
+
+def _candidates(p: PlabicGraph, kinds):
+    """The candidates of the given kinds (all when None), each with its
+    builder; only the generators of those kinds run."""
+    for names, candidates, build in _MOVES:
+        if kinds is None or any(k in kinds for k in names):
+            for m in candidates(p):
+                if kinds is None or m.kind in kinds:
+                    yield m, build
+
+
+def _legal_moves(p: PlabicGraph, kinds=None):
+    """``(move, result)`` for every legal move of the given kinds (all when
+    None), in the order of :func:`enumerate_moves`."""
+    for m, build in _candidates(p, kinds):
+        try:
+            out = build(p, m)
+        except IllegalMove:
+            continue
+        if not validate(out):
+            yield m, out
 
 
 def apply_move(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
-    if m.kind not in _APPLIERS:
-        raise IllegalMove(f"unknown move kind {m.kind!r}")
-    out = _APPLIERS[m.kind](p, m)
-    problems = validate(out)
-    if problems:
-        raise IllegalMove(f"move result is not a valid plabic graph: {problems[0]}")
-    return out
+    """The graph after ``m``, which must be a move :func:`enumerate_moves`
+    lists (a flip names an edge, so its two darts may come in either order);
+    raises ``IllegalMove`` otherwise."""
+    flip = m.kind in ("flipWhite", "flipBlack")
+    for c, build in _candidates(p, (m.kind,)):
+        if c.site == m.site or (flip and c.site[::-1] == m.site):
+            out = build(p, c)
+            problems = validate(out)
+            if problems:
+                raise IllegalMove(
+                    f"move result is not a valid plabic graph: {problems[0]}"
+                )
+            return out
+    raise IllegalMove(f"no legal {m.kind} move at {m.site}")
 
 
 def enumerate_moves(p: PlabicGraph, kinds=None) -> list[MoveDescriptor]:
-    """All legal moves (whose application yields a valid plabic graph)."""
-    cands: list[MoveDescriptor] = []
-    cands.extend(_flip_candidates(p))
-    cands.extend(_square_candidates(p))
-    cands.extend(_tail_remove_candidates(p))
-    cands.extend(_tail_attach_candidates(p))
-    if kinds is not None:
-        cands = [m for m in cands if m.kind in kinds]
-    out = []
-    for m in cands:
-        try:
-            apply_move(p, m)
-        except IllegalMove:
-            continue
-        out.append(m)
-    return out
+    """All legal moves (whose result is a valid plabic graph), of the given
+    kinds when ``kinds`` is not None."""
+    return [m for m, _ in _legal_moves(p, kinds)]
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +516,7 @@ def move_equivalent(
     cap_l = max(len(p1.leaves), len(p2.leaves)) + size_slack
 
     def neighbours(p):
-        for m in enumerate_moves(p):
-            np = apply_move(p, m)
+        for m, np in _legal_moves(p):
             if len(np.internal) <= cap_i and len(np.leaves) <= cap_l:
                 yield m, np
 
@@ -787,63 +760,74 @@ class Orientation:
         return dart in self.heads
 
 
-def _check_face_condition(p: PlabicGraph, heads: set) -> bool:
-    internal, _ = faces(p)
-    twin = p.twin()
-    for f in internal:
-        sources = sinks = 0
-        n = len(f)
-        for i in range(n):
-            d_prev = f[i]
-            d_next = f[(i + 1) % n]
-            # corner at the shared vertex of edge(d_prev) and edge(d_next)
-            away_prev = d_prev in heads
-            away_next = twin[d_next] in heads
-            if away_prev and away_next:
-                sources += 1
-            elif not away_prev and not away_next:
-                sinks += 1
-        if sources != 1 or sinks != 1:
-            return False
-    return True
+def _require_valid(p: PlabicGraph) -> None:
+    problems = validate(p)
+    if problems:
+        raise ValueError(f"invalid plabic graph: {problems[0]}")
 
 
-def _acyclic(p: PlabicGraph, heads: set) -> bool:
+def _in_degree(p: PlabicGraph, v) -> int:
+    """Heads at ``v`` in an admissible orientation: black vertices are
+    2-in/1-out and white ones 1-in/2-out; a black leaf is 1-in, a white one
+    1-out."""
+    return (v in p.black) + (v in p.internal)
+
+
+def _is_admissible(p: PlabicGraph, heads) -> bool:
+    """Whether ``heads`` is an admissible orientation of ``p``: exactly one
+    head per edge, the degree rule at every vertex, one source and one sink
+    corner per internal face, and no directed cycle."""
+    if len(heads) != len(p.edges) or any(len(e & heads) != 1 for e in p.edges):
+        return False
     verts = p.internal | p.leaves
-    out_adj: dict = {v: [] for v in verts}
+    indeg = dict.fromkeys(verts, 0)
     for h in heads:
-        tail = p.twin()[h][0]
-        out_adj[tail].append(h[0])
-    state: dict = {}
-
-    def dfs(v):
-        state[v] = 1
-        for w in out_adj[v]:
-            if state.get(w) == 1:
-                return False
-            if w not in state and not dfs(w):
-                return False
-        state[v] = 2
-        return True
-
-    return all(dfs(v) for v in verts if v not in state)
+        indeg[h[0]] += 1
+    if any(indeg[v] != _in_degree(p, v) for v in verts):
+        return False
+    twin = p.twin()
+    internal, _ = faces(p)
+    for f in internal:
+        # the corner between consecutive darts d, e of the face is a source
+        # when both its edges point away from it, a sink when both point in
+        corners = [(d in heads, twin[e] in heads) for d, e in zip(f, f[1:] + f[:1])]
+        if corners.count((True, True)) != 1 or corners.count((False, False)) != 1:
+            return False
+    # Kahn's algorithm: every vertex is peeled off exactly when no cycle exists
+    succ: dict = {v: [] for v in verts}
+    for h in heads:
+        succ[twin[h][0]].append(h[0])
+    ready = [v for v in verts if not indeg[v]]
+    peeled = 0
+    while ready:
+        v = ready.pop()
+        peeled += 1
+        for w in succ[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return peeled == len(verts)
 
 
 def admissible_orientation(p: PlabicGraph) -> Optional[Orientation]:
-    """The unique edge orientation with black vertices 2-in/1-out, white
-    vertices 1-in/2-out (univalent: black 1-in, white 1-out) and exactly one
-    source and one sink corner per internal face; None if it does not exist."""
+    """The unique admissible edge orientation: black vertices 2-in/1-out,
+    white vertices 1-in/2-out (univalent: black 1-in, white 1-out), exactly
+    one source and one sink corner per internal face, no directed cycle; None
+    if it does not exist.  Raises ``ValueError`` on an invalid graph."""
+    _require_valid(p)
+    return _solve_orientation(p)
+
+
+def _solve_orientation(p: PlabicGraph) -> Optional[Orientation]:
+    """:func:`admissible_orientation` of a graph already validated."""
     if len(p.black) * 2 != len(p.internal | p.leaves):
         return None  # unbalanced graphs never admit one
     twin = p.twin()
     edge_list = sorted(p.edges, key=sorted)
     caps = {}
     for v in p.internal | p.leaves:
-        deg_out = (1 if p.color(v) == "b" else 2) if v in p.internal else (
-            0 if p.color(v) == "b" else 1
-        )
         deg = 3 if v in p.internal else 1
-        caps[v] = (deg - deg_out, deg_out)  # (in, out)
+        caps[v] = (_in_degree(p, v), deg - _in_degree(p, v))  # (in, out)
 
     heads: dict = {}  # edge -> head dart
     counts = {v: [0, 0] for v in caps}  # decided (in, out)
@@ -903,10 +887,7 @@ def admissible_orientation(p: PlabicGraph) -> Optional[Orientation]:
         undecided = [e for e in edge_list if e not in heads]
         if not undecided:
             hs = set(heads.values())
-            if _check_face_condition(p, hs) and _acyclic(p, hs):
-                result = set(hs)
-            else:
-                result = None
+            result = hs if _is_admissible(p, hs) else None
             for e in trail:
                 unset_head(e)
             return result
@@ -929,19 +910,12 @@ def admissible_orientation(p: PlabicGraph) -> Optional[Orientation]:
         return None
 
     # forced boundary edges first
-    trail0: list = []
-    ok = True
     for l in sorted(p.leaves):
         e = frozenset({(l, 0), twin[(l, 0)]})
-        if e in heads:
-            continue
         h = (l, 0) if p.color(l) == "b" else twin[(l, 0)]
-        if not set_head(e, h):
-            ok = False
-        trail0.append(e)
-        if not ok:
-            break
-    result = solve() if ok else None
+        if e not in heads and not set_head(e, h):
+            return None
+    result = solve()
     return Orientation(frozenset(result)) if result is not None else None
 
 
@@ -951,12 +925,13 @@ def transport_orientation(
     """The admissible orientation of ``apply_move(p, m)``.
 
     Uniqueness of admissible orientations makes recomputation on the moved
-    graph the transported orientation."""
-    expected = admissible_orientation(p)
-    if expected is None or expected.heads != o.heads:
+    graph the transported orientation.  Raises ``ValueError`` when ``p`` is
+    invalid or ``o`` is not its admissible orientation."""
+    _require_valid(p)
+    if not _is_admissible(p, o.heads):
         raise ValueError("the given orientation is not admissible for p")
-    np = apply_move(p, m)
-    out = admissible_orientation(np)
+    # the moved graph was validated by apply_move
+    out = _solve_orientation(apply_move(p, m))
     if out is None:
         raise IllegalMove("the move does not preserve orientability")
     return out
@@ -974,13 +949,10 @@ def link_of_oriented_plabic(p: PlabicGraph, o: Orientation):
     vertices.  Returns the resulting link diagram."""
     from .link import LinkDiagram
 
-    problems = validate(p)
-    if problems:
-        raise ValueError(f"invalid plabic graph: {problems[0]}")
-    twin = p.twin()
-    check = admissible_orientation(p)
-    if check is None or check.heads != o.heads:
+    _require_valid(p)
+    if not _is_admissible(p, o.heads):
         raise ValueError("the orientation is not admissible for this graph")
+    twin = p.twin()
 
     lanes = UnionFind()
 
@@ -1003,10 +975,7 @@ def link_of_oriented_plabic(p: PlabicGraph, o: Orientation):
                 lanes.union(lane_in(h), lane_out(ds[(i + 1) % 3]))
             continue
         # black: right turns; the unique outgoing edge starts the cyclic order
-        outs = [h for h in ds if o.points_at(twin[h])]
-        if len(outs) != 1:
-            raise ValueError("orientation violates the black degree rule")
-        oi = ds.index(outs[0])
+        oi = next(i for i, h in enumerate(ds) if o.points_at(twin[h]))
         od, pd, qd = ds[oi], ds[(oi + 1) % 3], ds[(oi + 2) % 3]
         A0, A2 = lane_in(qd), lane_out(pd)
         B0, B2 = lane_in(pd), lane_out(od)
@@ -1086,6 +1055,10 @@ def divide_of_attached(p: PlabicGraph) -> PlanarDivide:
     return d
 
 
+def _colours_swapped(p: PlabicGraph) -> PlabicGraph:
+    return replace(p, black=(p.internal | p.leaves) - p.black)
+
+
 def yb_as_moves(
     p: PlabicGraph, site: SiteDescriptor, budget: Budget = Budget()
 ) -> list[MoveDescriptor]:
@@ -1101,21 +1074,13 @@ def yb_as_moves(
     code_p = canonical_code(p, strict_boundary_colors=True)
     swap = False
     if code_p != canonical_code(base, strict_boundary_colors=True):
-        swapped = PlabicGraph(
-            base.internal, base.leaves,
-            (base.internal | base.leaves) - base.black,
-            base.edges, base.boundary_order, base.outer_dart,
-        )
+        swapped = _colours_swapped(base)
         if code_p == canonical_code(swapped, strict_boundary_colors=True):
             swap = True
         else:
             raise SiteNotFound("the graph is not a square-gadget attachment")
     if swap:
-        target = PlabicGraph(
-            target.internal, target.leaves,
-            (target.internal | target.leaves) - target.black,
-            target.edges, target.boundary_order, target.outer_dart,
-        )
+        target = _colours_swapped(target)
     # the push only rearranges the three gadget squares of the triangle
     allowed = frozenset(f"{n}.{s}" for n in site.region_nodes for s in range(4))
     path = _search_flip_square_path(p, target, budget, allowed)
@@ -1131,9 +1096,9 @@ def _search_flip_square_path(p, target, budget, allowed):
     state per move looked up; None when the budget or the moves run out."""
 
     def neighbours(g):
-        for m in enumerate_moves(g, ("flipWhite", "flipBlack", "square")):
+        for m, ng in _legal_moves(g, ("flipWhite", "flipBlack", "square")):
             if {x[0] for x in m.site} <= allowed:
-                yield m, apply_move(g, m)
+                yield m, ng
 
     def canon(g):
         return canonical_code(g, strict_boundary_colors=True)

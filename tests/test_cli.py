@@ -12,6 +12,16 @@ from test_divide import HYPERBOLIC_NODE, TRIANGLE_ARC
 from test_plabic import NO_ORIENTATION
 
 P1_DIVIDE = "k 3\nL 2\nE 1 1 2 1\nR 1\n"
+# internal vertices a and b leave slot 2 unpaired
+UNPAIRED_PLB = (
+    "v a b i\nv b w i\nv l1 w d\nv l2 b d\n"
+    "edge l1.0 a.0\nedge a.1 b.1\nedge b.0 l2.0\nboundary l1 l2\n"
+)
+# a 3-leaf star whose boundary order runs against its rotation: genus > 0
+TWISTED_STAR_PLB = (
+    "v c b i\nv l w d\nv m w d\nv n b d\n"
+    "edge c.0 l.0\nedge c.1 m.0\nedge c.2 n.0\nboundary l n m\n"
+)
 
 
 def run(capsys, *argv):
@@ -159,6 +169,18 @@ class TestPlabicVerbs:
         f.write_text(format_plabic(NO_ORIENTATION))
         code, out, _ = run(capsys, "orient", str(f))
         assert code == 0 and out.strip() == "NONE"
+
+    @pytest.mark.parametrize("verb", ("orient", "plabic-link"))
+    @pytest.mark.parametrize(
+        "text, problem",
+        ((UNPAIRED_PLB, "unpaired"), (TWISTED_STAR_PLB, "genus > 0")),
+    )
+    def test_invalid_graph(self, capsys, tmp_path, verb, text, problem):
+        f = tmp_path / "p.plb"
+        f.write_text(text)
+        code, out, err = run(capsys, verb, str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error: invalid plabic graph: ") and problem in err
 
     def test_plabic_link_parses(self, capsys, sdv, tmp_path):
         code, out, _ = run(capsys, "fence", sdv)

@@ -1,6 +1,7 @@
 """Plabic graphs: moves, fences, gadget attachment, orientations, links."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +16,18 @@ from morsify.divide import (
     wiring_diagram,
     yb_sites,
 )
-from morsify.link import fingerprint
+from morsify.accept import UNORIENTABLE, _expected_fence_orientation
+from morsify.link import closure, component_count, fingerprint
 from morsify.plabic import (
     DisconnectedFence,
     FenceWord,
     IllegalMove,
     MoveDescriptor,
+    Orientation,
     PlabicGraph,
     SiteNotFound,
+    _is_admissible,
+    _legal_moves,
     admissible_orientation,
     apply_move,
     attach_plabic,
@@ -317,6 +322,27 @@ class TestMoves:
         with pytest.raises(IllegalMove):
             apply_move(fence(S1), MoveDescriptor("twist", ()))
 
+    def test_unlisted_sites_raise_illegal_move(self):
+        p = fence(S1, S1, T1)
+        moves = enumerate_moves(p)
+        kinds = {"flipWhite", "flipBlack", "square", "tailRemove", "tailAttach"}
+        assert {m.kind for m in moves} == kinds
+        for m in moves:
+            unlisted = [MoveDescriptor(k, m.site) for k in kinds - {m.kind}]
+            unlisted.append(MoveDescriptor(m.kind, m.site[:-1]))
+            for bad in unlisted:
+                with pytest.raises(IllegalMove):
+                    apply_move(p, bad)
+
+    def test_flip_site_in_either_order(self):
+        p = fence(S1, S1, T1)
+        flips = [m for m in enumerate_moves(p) if m.kind.startswith("flip")]
+        assert flips
+        for m in flips:
+            flipped = MoveDescriptor(m.kind, m.site[::-1])
+            assert flipped not in enumerate_moves(p)
+            assert apply_move(p, flipped) == apply_move(p, m)
+
     def test_moves_all_replayable(self):
         p = fence(S1, S2, T1)
         for m in enumerate_moves(p):
@@ -475,6 +501,115 @@ class TestOrientations:
         m = enumerate_moves(p)[0]
         with pytest.raises(ValueError):
             transport_orientation(p, bad, m)
+
+    def test_brute_force_oracle(self):
+        """On every graph of at most 12 edges within two moves of a 2-strand
+        fence of 2 or 3 letters (one per strict canonical code), at most one
+        set of heads is admissible, and the solver finds it.  A leaf's only
+        edge must point into a black leaf and out of a white one, so the sets
+        tried are every choice of heads on the other edges; reversing a leaf
+        edge is rejected in test_rejections."""
+        graphs = _near_small_fences()
+        assert len(graphs) == 640
+        for p in graphs + [NO_ORIENTATION, UNORIENTABLE]:
+            twin = p.twin()
+            forced = {
+                (l, 0) if l in p.black else twin[(l, 0)] for l in p.leaves
+            }
+            free = [sorted(e) for e in p.edges if not e & forced]
+            found = [
+                heads
+                for choice in product(*free)
+                if _is_admissible(p, heads := forced.union(choice))
+            ]
+            assert len(found) <= 1
+            o = admissible_orientation(p)
+            assert (o.heads if o else None) == (found[0] if found else None)
+        assert admissible_orientation(NO_ORIENTATION) is None
+        assert admissible_orientation(UNORIENTABLE) is None
+
+    def test_rejections(self):
+        p = fence(S1, T1, S1)
+        heads = admissible_orientation(p).heads
+        twin = p.twin()
+        h = min(heads)
+        bad = [heads - {x} | {twin[x]} for x in heads]  # one edge reversed
+        bad.append(heads | {twin[h]})  # both darts of one edge
+        bad.append(heads - {h} | {("zz", 0)})  # a dart not in the graph
+        bad.append(heads - {h})  # one head missing
+        m = enumerate_moves(p)[0]
+        for hs in bad:
+            with pytest.raises(ValueError, match="not admissible"):
+                link_of_oriented_plabic(p, Orientation(frozenset(hs)))
+            with pytest.raises(ValueError, match="not admissible"):
+                transport_orientation(p, Orientation(frozenset(hs)), m)
+
+    def test_face_condition(self):
+        """Recoloured, the square fence has an orientation that meets the
+        degree rule and has no directed cycle, but its square face does not
+        have one source and one sink corner."""
+        f = fence(S1, T1)
+        p = PlabicGraph(
+            f.internal, f.leaves, {"c0.b", "c1.t", "eL1", "eR2"}, f.edges,
+            f.boundary_order,
+        )
+        heads = frozenset({
+            ("c0.b", 0), ("c0.b", 1), ("c0.t", 1), ("c1.b", 0),
+            ("c1.t", 1), ("c1.t", 2), ("eL1", 0), ("eR2", 0),
+        })
+        assert validate(p) == []
+        assert not _is_admissible(p, heads)
+        assert admissible_orientation(p) is None
+        with pytest.raises(ValueError, match="not admissible"):
+            link_of_oriented_plabic(p, Orientation(heads))
+
+    def test_invalid_graph_rejected(self):
+        p = fence(S1, T1)
+        torn = PlabicGraph(
+            p.internal, p.leaves, p.black, set(p.edges) - {min(p.edges, key=sorted)},
+            p.boundary_order,
+        )
+        o = admissible_orientation(p)
+        for call in (
+            lambda: admissible_orientation(torn),
+            lambda: transport_orientation(torn, o, enumerate_moves(p)[0]),
+            lambda: link_of_oriented_plabic(torn, o),
+        ):
+            with pytest.raises(ValueError, match="invalid plabic graph"):
+                call()
+
+    def test_long_fence(self):
+        """A 1,500-letter fence: its closed-form orientation is accepted and
+        its link has the components of the braid closure."""
+        rng = random.Random(11)
+        w = FenceWord(2, tuple(rng.choice((S1, T1)) for _ in range(1500)))
+        p = fence_of_word(w)
+        d = link_of_oriented_plabic(p, Orientation(_expected_fence_orientation(p)))
+        beta = beta_of_fence_word(w)
+        assert component_count(d) == component_count(closure(beta.letters, beta.k))
+
+
+def _near_small_fences() -> list:
+    """Every graph of at most 12 edges within two moves of a 2-strand fence
+    of 2 or 3 letters, one per strict canonical code."""
+    found: list = []
+    seen: set = set()
+    layer = [fence(*w) for n in (2, 3) for w in product((S1, T1), repeat=n)]
+    for moves_left in (2, 1, 0):
+        nxt = []
+        for p in layer:
+            code = canonical_code(p, strict_boundary_colors=True)
+            if code in seen:
+                continue
+            seen.add(code)
+            if len(p.edges) <= 12:
+                found.append(p)
+            if moves_left:
+                # a move changes the edge count by at most 2
+                cap = 12 + 2 * (moves_left - 1)
+                nxt += [q for _, q in _legal_moves(p) if len(q.edges) <= cap]
+        layer = nxt
+    return found
 
 
 class TestLinks:
