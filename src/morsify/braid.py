@@ -169,6 +169,13 @@ class NormalForm:
     ``factors`` are permutations of ``0..k-1``; none is the identity or the
     half twist; each consecutive pair ``(a, b)`` satisfies
     ``starting_set(b) <= finishing_set(a)``.
+
+    It is built by appending simple elements (El-Rifai & Morton, 1994): to
+    multiply a left-weighted sequence on the right by a simple ``s``, append
+    ``s`` and left-weight the pairs ``(f_i, f_{i+1})`` from right to left,
+    stopping at the first pair that is left-weighted already; identities
+    collect at the end and are dropped, half twists at the front and are
+    counted in ``delta_power``.
     """
 
     k: int
@@ -180,42 +187,68 @@ class NormalForm:
         return f"D^{self.delta_power} | {fs}"
 
 
-def _left_weight_pair(
-    a: tuple[int, ...], b: tuple[int, ...], k: int
-) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    """Slide letters from the head of ``b`` to the tail of ``a`` until the
-    pair is left-weighted.  Preserves the product ``D(a) D(b)``."""
-    changed = False
-    while True:
-        movable = starting_set(b) - finishing_set(a)
-        if not movable:
-            return a, b, changed
-        j = min(movable)
-        s = generator_perm(k, j)
-        a = compose(a, s)  # a -> a . sigma_j
-        b = compose(s, b)  # b -> sigma_j \ b
-        changed = True
+def _left_weight_pair(a: tuple[int, ...], b: tuple[int, ...]):
+    """Slide generators from the head of ``b`` to the tail of ``a`` until the
+    pair is left-weighted, preserving the product ``D(a) D(b)``; None when it
+    is left-weighted already."""
+    # a . sigma_j swaps two places of a's inverse, whose descents are a's
+    # finishing set; sigma_j \ b swaps two places of b, whose descents are
+    # b's starting set
+    ai, b = list(inverse_perm(a)), list(b)
+    moved = False
+    j = 1
+    while j < len(b):
+        if b[j - 1] > b[j] and ai[j - 1] < ai[j]:
+            b[j - 1], b[j] = b[j], b[j - 1]
+            ai[j - 1], ai[j] = ai[j], ai[j - 1]
+            moved = True
+            j = max(j - 1, 1)
+        else:
+            j += 1
+    return (inverse_perm(ai), tuple(b)) if moved else None
+
+
+def _append(factors: list, s: tuple[int, ...], k: int) -> None:
+    """Multiply the left-weighted ``factors`` on the right by the simple
+    element ``s``, in place."""
+    factors.append(s)
+    for i in range(len(factors) - 2, -1, -1):
+        pair = _left_weight_pair(factors[i], factors[i + 1])
+        if pair is None:
+            break
+        factors[i], factors[i + 1] = pair
+    ident = identity_perm(k)
+    while factors and factors[-1] == ident:
+        factors.pop()
+
+
+def _fold(k: int, simples: Iterable[tuple[int, ...]]) -> NormalForm:
+    """The normal form of a product of simple elements on ``k`` strands."""
+    factors: list = []
+    for s in simples:
+        _append(factors, s, k)
+    delta = half_twist_perm(k)
+    power = 0
+    while power < len(factors) and factors[power] == delta:
+        power += 1
+    return NormalForm(k, power, tuple(factors[power:]))
+
+
+def _gens(k: int, letters: Iterable[int]) -> list[tuple[int, ...]]:
+    return [generator_perm(k, a) for a in letters]
+
+
+def _simples(nf: NormalForm) -> list[tuple[int, ...]]:
+    """The factors of ``nf`` with ``Delta^p`` spelled as ``p`` half twists."""
+    return [half_twist_perm(nf.k)] * nf.delta_power + list(nf.factors)
+
+
+def _word(k: int, simples: Iterable[tuple[int, ...]]) -> PositiveBraidWord:
+    return PositiveBraidWord(k, tuple(chain.from_iterable(map(word_of_perm, simples))))
 
 
 def left_normal_form(w: PositiveBraidWord) -> NormalForm:
-    k = w.k
-    ident = identity_perm(k)
-    delta = half_twist_perm(k)
-    factors: list[tuple[int, ...]] = [generator_perm(k, a) for a in w.letters]
-    stable = False
-    while not stable:
-        stable = True
-        for i in range(len(factors) - 1):
-            a, b, changed = _left_weight_pair(factors[i], factors[i + 1], k)
-            if changed:
-                factors[i], factors[i + 1] = a, b
-                stable = False
-        factors = [f for f in factors if f != ident]
-    power = 0
-    while factors and factors[0] == delta:
-        power += 1
-        factors.pop(0)
-    return NormalForm(k, power, tuple(factors))
+    return _fold(w.k, _gens(w.k, w.letters))
 
 
 def delta(k: int) -> PositiveBraidWord:
@@ -227,11 +260,7 @@ def delta(k: int) -> PositiveBraidWord:
 
 
 def nf_to_word(nf: NormalForm) -> PositiveBraidWord:
-    letters: list[int] = []
-    letters.extend(delta(nf.k).letters * nf.delta_power)
-    for f in nf.factors:
-        letters.extend(word_of_perm(f))
-    return PositiveBraidWord(nf.k, tuple(letters))
+    return _word(nf.k, _simples(nf))
 
 
 def canonical_word(w: PositiveBraidWord) -> PositiveBraidWord:
@@ -251,84 +280,32 @@ def delta_divisibility(w: PositiveBraidWord) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Divisibility and quotients on normal forms (used by the isotopy searches)
-
-
-def left_divisor_gens(nf: NormalForm) -> set[int]:
-    """Generators sigma_j with ``sigma_j`` a left divisor of the element."""
-    if nf.delta_power > 0:
-        return set(range(1, nf.k))
-    if not nf.factors:
-        return set()
-    return starting_set(nf.factors[0])
-
-
-def right_divisor_gens(nf: NormalForm) -> set[int]:
-    if not nf.factors:
-        if nf.delta_power > 0:
-            return set(range(1, nf.k))
-        return set()
-    return finishing_set(nf.factors[-1])
-
-
-def left_quotient_by_gen(nf: NormalForm, j: int) -> PositiveBraidWord:
-    """The word ``sigma_j \\ b`` for ``j`` in :func:`left_divisor_gens`."""
-    k = nf.k
-    s = generator_perm(k, j)
-    if nf.delta_power > 0:
-        # peel from a leading half twist: Delta = sigma_j . q for every j
-        q = compose(s, half_twist_perm(k))
-        rest = NormalForm(k, nf.delta_power - 1, nf.factors)
-        return PositiveBraidWord(k, word_of_perm(q) + nf_to_word(rest).letters)
-    first = nf.factors[0]
-    ident = identity_perm(k)
-    f1 = compose(s, first)
-    tail: list[int] = []
-    for f in nf.factors[1:]:
-        tail.extend(word_of_perm(f))
-    head = word_of_perm(f1) if f1 != ident else ()
-    return PositiveBraidWord(k, tuple(head) + tuple(tail))
-
-
-def right_quotient_by_gen(nf: NormalForm, j: int) -> PositiveBraidWord:
-    """The word ``b / sigma_j`` for ``j`` in :func:`right_divisor_gens`."""
-    k = nf.k
-    s = generator_perm(k, j)
-    ident = identity_perm(k)
-    if not nf.factors:
-        # peel from a trailing half twist: Delta = q . sigma_j
-        q = compose(half_twist_perm(k), s)
-        rest = NormalForm(k, nf.delta_power - 1, ())
-        return PositiveBraidWord(k, nf_to_word(rest).letters + word_of_perm(q))
-    last = compose(nf.factors[-1], s)
-    body: list[int] = list(delta(k).letters) * nf.delta_power
-    for f in nf.factors[:-1]:
-        body.extend(word_of_perm(f))
-    if last != ident:
-        body.extend(word_of_perm(last))
-    return PositiveBraidWord(k, tuple(body))
-
-
-# ---------------------------------------------------------------------------
 # Isotopy moves and the search over normal forms
+#
+# A move is ``(move, k, simples)``: the moved braid on ``k`` strands as a
+# product of simple elements, which the search folds into a normal form and
+# a replay spells as a word.
 
 
 def _nf_key(nf: NormalForm):
     return (nf.k, nf.delta_power, nf.factors)
 
 
-def _cyclic_moves(nf: NormalForm) -> Iterator[tuple[tuple, PositiveBraidWord]]:
-    for j in sorted(left_divisor_gens(nf)):
-        rest = left_quotient_by_gen(nf, j)
-        yield ("L", j), PositiveBraidWord(nf.k, rest.letters + (j,))
-    for j in sorted(right_divisor_gens(nf)):
-        rest = right_quotient_by_gen(nf, j)
-        yield ("R", j), PositiveBraidWord(nf.k, (j,) + rest.letters)
+def _cyclic_moves(nf: NormalForm) -> Iterator[tuple]:
+    """``("L", j)``: strip ``sigma_j`` from the first simple factor and append
+    it; ``("R", j)``: strip it from the last and prepend it."""
+    fs, k = _simples(nf), nf.k
+    if not fs:
+        return
+    for j in sorted(starting_set(fs[0])):
+        s = generator_perm(k, j)
+        yield ("L", j), k, [compose(s, fs[0])] + fs[1:] + [s]
+    for j in sorted(finishing_set(fs[-1])):
+        s = generator_perm(k, j)
+        yield ("R", j), k, [s] + fs[:-1] + [compose(fs[-1], s)]
 
 
-def _markov_moves(
-    nf: NormalForm, k_cap: int
-) -> Iterator[tuple[tuple, PositiveBraidWord]]:
+def _markov_moves(nf: NormalForm, k_cap: int) -> Iterator[tuple]:
     """Positive Markov moves of the canonical word: drop the only top
     generator (at index ``i``) with a cyclic shift, or add a strand below
     ``k_cap`` strands."""
@@ -337,9 +314,9 @@ def _markov_moves(
     if len(positions) == 1:
         i = positions[0]
         rest = w.letters[i + 1 :] + w.letters[:i]
-        yield ("destab", i), PositiveBraidWord(w.k - 1, rest)
+        yield ("destab", i), w.k - 1, _gens(w.k - 1, rest)
     if w.k < k_cap:
-        yield ("stab",), PositiveBraidWord(w.k + 1, w.letters + (w.k,))
+        yield ("stab",), w.k + 1, _gens(w.k + 1, w.letters + (w.k,))
 
 
 def conjugation_neighbors(
@@ -347,7 +324,7 @@ def conjugation_neighbors(
 ) -> Iterator[tuple[tuple[str, int], PositiveBraidWord]]:
     """One-letter cyclic moves: strip a dividing generator from one side and
     reattach it on the other."""
-    return _cyclic_moves(left_normal_form(w))
+    return ((m, _word(k, ss)) for m, k, ss in _cyclic_moves(left_normal_form(w)))
 
 
 def apply_conjugation(w: PositiveBraidWord, move: tuple) -> PositiveBraidWord:
@@ -357,14 +334,19 @@ def apply_conjugation(w: PositiveBraidWord, move: tuple) -> PositiveBraidWord:
     top generator, at index ``i`` of the canonical word, and ``("stab",)``
     adds a strand."""
     nf = left_normal_form(w)
-    for m, nxt in chain(_cyclic_moves(nf), _markov_moves(nf, w.k + 1)):
+    for m, k, ss in chain(_cyclic_moves(nf), _markov_moves(nf, w.k + 1)):
         if m == move:
-            return nxt
+            return _word(k, ss)
     raise ValueError(f"move {move!r} does not apply to {format_braid_word(w)}")
 
 
+def _inversions(p: Sequence[int]) -> int:
+    return sum(x > y for i, x in enumerate(p) for y in p[i + 1 :])
+
+
 def _rank(nf: NormalForm) -> tuple[int, int]:
-    return nf.k, len(nf_to_word(nf))
+    """Strand count, then word length: the factors' inversion counts."""
+    return nf.k, sum(map(_inversions, _simples(nf)))
 
 
 def _braid_search(u, v, budget: Budget, moves) -> Optional[Verdict]:
@@ -372,7 +354,7 @@ def _braid_search(u, v, budget: Budget, moves) -> Optional[Verdict]:
     ``v``, fewer strands and shorter words first; None when they run out."""
 
     def neighbours(nf):
-        return ((m, left_normal_form(w)) for m, w in moves(nf))
+        return ((m, _fold(k, ss)) for m, k, ss in moves(nf))
 
     front = Frontier(left_normal_form(u), _nf_key, neighbours, _rank)
     target = _nf_key(left_normal_form(v))

@@ -1064,7 +1064,8 @@ def yb_as_moves(
 ) -> list[MoveDescriptor]:
     """A flip/square move sequence carrying ``p`` (a square-gadget graph of a
     divide with a triangular region) to a gadget graph of the divide with
-    that triangle pushed through the opposite side."""
+    that triangle pushed through the opposite side.  :class:`SiteNotFound`
+    says whether the budget or the flip/square orbit ran out."""
     d = divide_of_attached(p)
     if site not in yb_sites(d):
         raise SiteNotFound("the graph has no triangle gadget at this site")
@@ -1093,7 +1094,8 @@ def _search_flip_square_path(p, target, budget, allowed):
     """Flip and square moves at vertices named in ``allowed`` from ``p`` to
     ``target``: a breadth-first search forward into the ``BACK_DEPTH``
     neighbourhood of ``target``, then a greedy descent through it.  One
-    state per move looked up; None when the budget or the moves run out."""
+    state per move looked up; None when the budget runs out, and
+    :class:`SiteNotFound` when the moves do."""
 
     def neighbours(g):
         for m, ng in _legal_moves(g, ("flipWhite", "flipBlack", "square")):
@@ -1125,7 +1127,10 @@ def _search_flip_square_path(p, target, budget, allowed):
                 path = fpath
                 break
     if path is None:
-        return None
+        raise SiteNotFound(
+            "no flip/square path: the orbit under the allowed moves is "
+            f"exhausted after {clock.states} states"
+        )
     # descend the map greedily
     g = reduce(apply_move, path, p)
     dist = back[canon(g)]
@@ -1138,7 +1143,7 @@ def _search_flip_square_path(p, target, budget, allowed):
                 g, dist, path = ng, back[c], path + (m,)
                 break
         else:
-            return None
+            raise SiteNotFound("no flip/square path: the descent to the target stalled")
     return path
 
 

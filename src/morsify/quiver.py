@@ -103,7 +103,8 @@ def _refine_colors(b: tuple) -> list:
     for _ in range(n):
         new = []
         for i in range(n):
-            sig = tuple(sorted((colors[j], b[i][j]) for j in range(n) if j != i))
+            # zero entries are implied by the class sizes
+            sig = tuple(sorted((colors[j], x) for j, x in enumerate(b[i]) if x))
             new.append((colors[i], sig))
         ranks = {c: r for r, c in enumerate(sorted(set(new)))}
         new_ranked = [ranks[c] for c in new]
@@ -115,9 +116,17 @@ def _refine_colors(b: tuple) -> list:
 
 
 def canonical_form(q: Quiver) -> tuple:
-    """``(key, order)``: the lexicographically minimal matrix over vertex
-    relabelings, and a vertex order achieving it (``order[t]`` is the
-    original label placed at canonical position ``t``)."""
+    """``(key, order)``: the matrix relabeled by a canonical vertex order,
+    flattened row by row, and that order (``order[t]`` is the original label
+    placed at canonical position ``t``).
+
+    The order minimises the *shell key* over the orders that respect the
+    colour refinement: vertex ``t`` contributes the shell
+    ``b[o_t][o_0], ..., b[o_t][o_{t-1}]``.  The shells determine the
+    skew-symmetric matrix, and the key of a partial order is a prefix of the
+    key of every completion.  So a partial order is extended only by the
+    vertices of least shell, and a branch is cut as soon as its key exceeds
+    the best key's prefix of the same length."""
     b = q.b
     n = q.n
     if n == 0:
@@ -130,45 +139,36 @@ def canonical_form(q: Quiver) -> tuple:
     best_key: list = [None]
     best_order: list = [None]
     # "twins" (vertices that an automorphism swaps: zero arrow between them,
-    # identical rows elsewhere) need only one representative per branch
-    twin_class = list(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if twin_class[j] != j:
-                continue
-            if b[i][j] == 0 and all(
-                b[i][k] == b[j][k] for k in range(n) if k not in (i, j)
-            ):
-                twin_class[j] = twin_class[i]
+    # identical rows elsewhere, that is, equal rows) need only one
+    # representative per branch
+    first: dict = {}
+    twin_class = [first.setdefault(row, i) for i, row in enumerate(b)]
 
-    def flatten(order):
-        return tuple(b[i][j] for i in order for j in order)
-
-    def search(order, gi, placed_in_group):
+    def search(order, key, gi, placed_in_group):
         if gi == len(groups):
-            key = flatten(order)
             if best_key[0] is None or key < best_key[0]:
                 best_key[0] = key
                 best_order[0] = tuple(order)
             return
-        grp = [x for x in groups[gi] if x not in order]
-        tried = set()
-        for nxt in grp:
-            if twin_class[nxt] in tried:
+        shells: dict = {}
+        for nxt in groups[gi]:
+            if nxt not in order:
+                shells.setdefault(twin_class[nxt], (nxt, [b[nxt][o] for o in order]))
+        least = min(shell for _, shell in shells.values())
+        for nxt, shell in shells.values():
+            if shell != least:
                 continue
-            tried.add(twin_class[nxt])
-            cand = order + [nxt]
-            if best_order[0] is not None and flatten(cand) > flatten(
-                list(best_order[0][: len(cand)])
-            ):
+            cand = key + shell
+            if best_key[0] is not None and cand > best_key[0][: len(cand)]:
                 continue
             if placed_in_group + 1 == len(groups[gi]):
-                search(cand, gi + 1, 0)
+                search(order + [nxt], cand, gi + 1, 0)
             else:
-                search(cand, gi, placed_in_group + 1)
+                search(order + [nxt], cand, gi, placed_in_group + 1)
 
-    search([], 0, 0)
-    return best_key[0], best_order[0]
+    search([], [], 0, 0)
+    order = best_order[0]
+    return tuple(b[i][j] for i in order for j in order), order
 
 
 def canonical_key(q: Quiver) -> tuple:

@@ -19,20 +19,28 @@ from morsify.braid import (
     beta_of_fence_word,
     beta_of_scannable,
     canonical_word,
+    compose,
+    conjugation_neighbors,
     cycle_count,
     delta,
     delta_divisibility,
+    finishing_set,
     format_braid_word,
     generator_perm,
+    half_twist_perm,
+    identity_perm,
     left_normal_form,
     markov_invariant,
     parse_braid_word,
     positive_equal,
     positive_isotopic,
     solid_torus_isotopic,
+    starting_set,
     underlying_permutation,
     word,
+    word_of_perm,
 )
+from morsify.braid import _rank
 
 
 def artin_class(w: PositiveBraidWord, cap: int = 200000) -> set[tuple[int, ...]]:
@@ -58,6 +66,72 @@ def artin_class(w: PositiveBraidWord, cap: int = 200000) -> set[tuple[int, ...]]
         if len(seen) > cap:
             raise RuntimeError("oracle blew up")
     return seen
+
+
+# ---------------------------------------------------------------------------
+# Reference: the normal form as a fixpoint of pair left-weighting, and the
+# cyclic moves as quotient words of the canonical word (an oracle for the
+# incremental normal form and the moves on factors)
+
+
+def ref_left_weight_pair(a, b, k):
+    changed = False
+    while True:
+        movable = starting_set(b) - finishing_set(a)
+        if not movable:
+            return a, b, changed
+        j = min(movable)
+        s = generator_perm(k, j)
+        a, b, changed = compose(a, s), compose(s, b), True
+
+
+def ref_left_normal_form(w):
+    k = w.k
+    factors = [generator_perm(k, a) for a in w.letters]
+    stable = False
+    while not stable:
+        stable = True
+        for i in range(len(factors) - 1):
+            a, b, changed = ref_left_weight_pair(factors[i], factors[i + 1], k)
+            if changed:
+                factors[i], factors[i + 1] = a, b
+                stable = False
+        factors = [f for f in factors if f != identity_perm(k)]
+    power = 0
+    while factors and factors[0] == half_twist_perm(k):
+        power += 1
+        factors.pop(0)
+    return NormalForm(k, power, tuple(factors))
+
+
+def ref_word(nf, factors=None, power=None):
+    power = nf.delta_power if power is None else power
+    factors = nf.factors if factors is None else factors
+    letters = delta(nf.k).letters * power
+    return letters + tuple(a for f in factors for a in word_of_perm(f))
+
+
+def ref_conjugation_neighbors(w):
+    nf = ref_left_normal_form(w)
+    k, p, fs = nf.k, nf.delta_power, nf.factors
+    everything = set(range(1, k))
+    left = everything if p else starting_set(fs[0]) if fs else set()
+    for j in sorted(left):
+        s = generator_perm(k, j)
+        if p:
+            q = compose(s, half_twist_perm(k))
+            rest = word_of_perm(q) + ref_word(nf, power=p - 1)
+        else:
+            rest = word_of_perm(compose(s, fs[0])) + ref_word(nf, fs[1:], 0)
+        yield ("L", j), word(k, rest + (j,))
+    right = finishing_set(fs[-1]) if fs else everything if p else set()
+    for j in sorted(right):
+        s = generator_perm(k, j)
+        if fs:
+            rest = ref_word(nf, fs[:-1]) + word_of_perm(compose(fs[-1], s))
+        else:
+            rest = ref_word(nf, power=p - 1) + word_of_perm(compose(half_twist_perm(k), s))
+        yield ("R", j), word(k, (j,) + rest)
 
 
 def random_word(rng, k_max=4, n_max=7) -> PositiveBraidWord:
@@ -115,14 +189,21 @@ class TestNormalForm:
         assert underlying_permutation(cw) == underlying_permutation(u)
 
     def test_left_weightedness_of_output(self):
-        from morsify.braid import finishing_set, starting_set
-
         rng = random.Random(3)
         for _ in range(50):
             u = random_word(rng, k_max=5, n_max=12)
             nf = left_normal_form(u)
             for a, b in zip(nf.factors, nf.factors[1:]):
                 assert starting_set(b) <= finishing_set(a)
+
+    @given(st.integers(1, 6), st.lists(st.integers(0, 4), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_fixpoint_reference(self, k, raw):
+        u = word(k, [1 + a % (k - 1) for a in raw] if k > 1 else [])
+        nf = left_normal_form(u)
+        assert nf == ref_left_normal_form(u)
+        assert list(conjugation_neighbors(u)) == list(ref_conjugation_neighbors(u))
+        assert _rank(nf) == (k, len(ref_word(nf)))
 
 
 class TestDeltaDivisibility:

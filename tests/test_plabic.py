@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morsify._common import Budget
 from morsify.braid import beta_of_fence_word
 from morsify.divide import (
     apply_yb,
@@ -681,6 +682,32 @@ class TestTrianglePush:
         d = scannable_to_planar(wiring_diagram(3))
         site = yb_sites(d)[0]
         assert yb_as_moves(attach_plabic(d), site) == []
+
+    def test_orbit_exhaustion_and_spent_budget_differ(self):
+        # on three of the six sites the flip/square moves about the triangle
+        # reach 576 states, none near the target; the other three push the
+        # triangle in 15 moves
+        d = scannable_to_planar(scannable(3, (), (1, 2, 1, 2), ()))
+        p = attach_plabic(d)
+        outcomes = []
+        for site in yb_sites(d):
+            try:
+                macro = yb_as_moves(p, site, Budget(40000, 600))
+            except SiteNotFound as e:
+                outcomes.append(str(e))
+                continue
+            g = p
+            for m in macro:
+                g = apply_move(g, m)
+            assert canonical_code(g) == canonical_code(attach_plabic(apply_yb(d, site)))
+            outcomes.append(len(macro))
+        exhausted = (
+            "no flip/square path: the orbit under the allowed moves is "
+            "exhausted after 576 states"
+        )
+        assert outcomes == [exhausted] * 3 + [15] * 3
+        with pytest.raises(SiteNotFound, match="^no flip/square path found within budget$"):
+            yb_as_moves(p, yb_sites(d)[0], Budget(100, 600))
 
     def test_wrong_site_rejected(self):
         d = parse_planar_divide(TRIANGLE_ARC)

@@ -159,6 +159,50 @@ class TestCanonical:
         q = Quiver(tuple(tuple(0 for _ in range(12)) for _ in range(12)))
         assert canonical_key(q) == tuple([0] * 144)
 
+    # two labelings of one regular tournament on 11 vertices (the circulant
+    # i -> i+1..i+5 with directed 3-cycles reversed), row i of b as signs
+    TOURNAMENT = (
+        "0-++-++---+", "+0+-+--++--", "--0+++++---", "-+-0--++++-",
+        "+--+0+-+-+-", "-+-+-0+--++", "-+--+-0-+++", "+----++0+-+",
+        "+-+-++--0+-", "+++----+-0+", "-++++---+-0",
+    )
+    TOURNAMENT_RELABELED = (
+        "0+-+--+--++", "-0---+-++++", "++0++----+-", "-+-0++-+--+",
+        "++--0-+++--", "+-+-+0--+-+", "-+++-+0---+", "+-+--++0+--",
+        "+-++--+-0+-", "---+++++-0-", "--+-+--+++0",
+    )
+
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 10)] * 3), max_size=30),
+        st.permutations(range(11)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tournament_relabeling_invariance(self, triples, perm):
+        # regular tournaments: the circulant i -> i+1..i+5 with some directed
+        # 3-cycles reversed
+        b = [[0] * 11 for _ in range(11)]
+        for i in range(11):
+            for d in range(1, 6):
+                b[i][(i + d) % 11], b[(i + d) % 11][i] = 1, -1
+        for i, j, l in triples:
+            if b[i][j] == b[j][l] == b[l][i] == 1:
+                for x, y in ((i, j), (j, l), (l, i)):
+                    b[x][y], b[y][x] = -1, 1
+        q = Quiver(tuple(map(tuple, b)))
+        assert canonical_key(q) == canonical_key(relabel(q, perm))
+
+    def test_tournament_labelings_share_a_key(self):
+        # the search must prune on prefixes of the key it minimises, or one
+        # of these labelings loses its least key
+        sign = {"+": 1, "-": -1, "0": 0}
+        q1, q2 = (
+            Quiver(tuple(tuple(sign[c] for c in row) for row in rows))
+            for rows in (self.TOURNAMENT, self.TOURNAMENT_RELABELED)
+        )
+        assert canonical_key(q1) == canonical_key(q2)
+        pi = find_isomorphism(q1, q2)
+        assert pi is not None and relabel(q1, pi) == q2
+
 
 class TestMutationClass:
     def test_a3_class_size(self):
