@@ -36,7 +36,6 @@ from .link import LaurentPoly, fingerprint
 from .plabic import (
     DisconnectedFence,
     FenceWord,
-    IllegalMove,
     PlabicGraph,
     admissible_orientation,
     apply_move,
@@ -47,7 +46,6 @@ from .plabic import (
     fence_of_word,
     link_of_oriented_plabic,
     quiver_of_plabic,
-    transport_orientation,
 )
 from .quiver import (
     Quiver,
@@ -443,9 +441,8 @@ def check_moves_preserve_links(count: int = 200) -> AcceptanceResult:
                 np_ = apply_move(p, m)
                 if len(np_.internal) > 12:
                     continue
-                try:
-                    no = transport_orientation(p, o, m)
-                except IllegalMove:
+                no = admissible_orientation(np_)
+                if no is None:
                     continue
                 p, o = np_, no
                 break

@@ -7,8 +7,10 @@ arrows ``j -> i``); 2-cycles cancel by construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain
+from operator import itemgetter
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
 from ._common import bareiss, read_directives
@@ -64,21 +66,52 @@ def quiver_from_arrows(n: int, arrows) -> Quiver:
     return Quiver(tuple(tuple(row) for row in b))
 
 
+def _quiver(b: tuple) -> Quiver:
+    """A :class:`Quiver` on a tuple of int tuples known to be skew-symmetric,
+    built without the checks of ``Quiver(...)``."""
+    q = object.__new__(Quiver)
+    object.__setattr__(q, "b", b)
+    return q
+
+
+def _mutate(b: tuple, k: int) -> tuple:
+    """The mutation of ``b`` at ``k`` and the largest absolute value among the
+    entries it changed other than in row and column ``k``.
+
+    Row ``k`` names the neighbours: ``y = b[k][j] > 0`` arrows ``k -> j``
+    and ``-x`` arrows ``i -> k`` where ``x = b[k][i] < 0``.  Each such pair
+    adds ``-x * y`` arrows ``i -> j``, and row and column ``k`` change sign
+    (Fomin & Zelevinsky).  Every other entry is unchanged, so only the rows
+    of the neighbours of ``k`` are copied."""
+    bk = b[k]
+    rows = [list(row) if x else row for row, x in zip(b, bk)]
+    outs = [(j, y) for j, y in enumerate(bk) if y > 0]
+    peak = 0
+    for i, x in enumerate(bk):
+        if x < 0:
+            ri = rows[i]
+            for j, y in outs:
+                v = ri[j] - x * y
+                ri[j] = v
+                rows[j][i] = -v
+                peak = max(peak, abs(v))
+    for i, x in enumerate(bk):
+        if x:
+            rows[i][k] = x
+            rows[i] = tuple(rows[i])
+    rows[k] = tuple(-x for x in bk)
+    return tuple(rows), peak
+
+
 def mutate(q: Quiver, k: int) -> Quiver:
-    n = q.n
-    if not 0 <= k < n:
+    """The quiver mutated at ``k``: for every path ``i -> k -> j`` add the
+    composite arrows ``i -> j`` (cancelling 2-cycles), then reverse every
+    arrow at ``k``.  Only row and column ``k`` and the entries between the
+    in- and out-neighbours of ``k`` change, and the result is skew-symmetric
+    by construction, so it is not checked again."""
+    if not 0 <= k < q.n:
         raise ValueError(f"mutation vertex {k} out of range")
-    b = q.b
-    nb = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == k or j == k:
-                nb[i][j] = -b[i][j]
-            else:
-                nb[i][j] = b[i][j] + (
-                    abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])
-                ) // 2
-    return Quiver(tuple(tuple(row) for row in nb))
+    return _quiver(_mutate(q.b, k)[0])
 
 
 def mutate_seq(q: Quiver, ks) -> Quiver:
@@ -87,32 +120,62 @@ def mutate_seq(q: Quiver, ks) -> Quiver:
     return q
 
 
+def _peak(b: tuple) -> int:
+    """The largest arrow multiplicity of a skew-symmetric matrix, which is
+    its largest entry."""
+    return max(map(max, b), default=0)
+
+
 # ---------------------------------------------------------------------------
 # Canonical form and isomorphism
 
 
-def _refine_colors(b: tuple) -> list:
+def _ranks(items: list) -> tuple:
+    """Each item replaced by its rank among the distinct items, and the
+    number of distinct items."""
+    rank = {c: r for r, c in enumerate(sorted(set(items)))}
+    return [rank[c] for c in items], len(rank)
+
+
+def _refine_colors(b: tuple) -> tuple:
+    """Colour refinement and its number of colours.
+
+    Round 0 colours each row by its sorted positive and its sorted negative
+    entries.  Every later round splits by the multiset of (colour, entry)
+    over the nonzero entries of the row (the zero entries follow from the
+    class sizes), until the partition is stable or discrete.  The colours
+    are ranks, so a lower colour means a smaller signature in every round;
+    the pair (colour, entry) is ranked as the integer colour * width + entry.
+    """
     n = len(b)
-    colors = [
-        (
-            tuple(sorted(x for x in b[i] if x > 0)),
-            tuple(sorted(x for x in b[i] if x < 0)),
+    round0 = []
+    for row in b:
+        s = sorted(row)
+        round0.append((tuple(s[bisect_right(s, 0) :]), tuple(s[: bisect_left(s, 0)])))
+    colors, count = _ranks(round0)
+    if count == n:
+        return colors, count
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    width = 2 * _peak(b) + 1
+    while True:
+        weight = [c * width for c in colors]
+        colors, new_count = _ranks(
+            [
+                (colors[i], tuple(sorted([weight[j] + x for j, x in nz])))
+                for i, nz in enumerate(nonzero)
+            ]
         )
-        for i in range(n)
-    ]
-    for _ in range(n):
-        new = []
-        for i in range(n):
-            # zero entries are implied by the class sizes
-            sig = tuple(sorted((colors[j], x) for j, x in enumerate(b[i]) if x))
-            new.append((colors[i], sig))
-        ranks = {c: r for r, c in enumerate(sorted(set(new)))}
-        new_ranked = [ranks[c] for c in new]
-        if len(set(new_ranked)) == len(set(colors)):
-            colors = new_ranked
-            break
-        colors = new_ranked
-    return colors
+        if new_count in (count, n):
+            return colors, new_count
+        count = new_count
+
+
+def _relabeled(b: tuple, order) -> tuple:
+    """The matrix ``b`` in the vertex order ``order``, flattened row by row."""
+    if len(order) == 1:
+        return (b[order[0]][order[0]],)
+    pick = itemgetter(*order)
+    return tuple(chain.from_iterable(pick(b[i]) for i in order))
 
 
 def canonical_form(q: Quiver) -> tuple:
@@ -122,53 +185,89 @@ def canonical_form(q: Quiver) -> tuple:
 
     The order minimises the *shell key* over the orders that respect the
     colour refinement: vertex ``t`` contributes the shell
-    ``b[o_t][o_0], ..., b[o_t][o_{t-1}]``.  The shells determine the
-    skew-symmetric matrix, and the key of a partial order is a prefix of the
-    key of every completion.  So a partial order is extended only by the
-    vertices of least shell, and a branch is cut as soon as its key exceeds
-    the best key's prefix of the same length."""
+    ``b[o_t][o_0], ..., b[o_t][o_{t-1}]``.  When the refinement is discrete
+    the order is the colour order and nothing is searched.  Otherwise a
+    depth-first branch and bound on an explicit stack fills the order class
+    by class.  The shells determine the skew-symmetric matrix, and the key
+    of a partial order is a prefix of the key of every completion.  So a
+    partial order is extended only by the vertices of least shell (one per
+    class of twins, vertices with equal rows), and a branch is cut as soon
+    as its newest shell makes its key exceed the best key's prefix."""
     b = q.b
     n = q.n
     if n == 0:
         return (), ()
-    colors = _refine_colors(b)
+    colors, count = _refine_colors(b)
+    if count == n:
+        order = [0] * n
+        for i, c in enumerate(colors):
+            order[c] = i
+        return _relabeled(b, order), tuple(order)
     classes: dict = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(i)
-    groups = [classes[c] for c in sorted(classes)]
-    best_key: list = [None]
-    best_order: list = [None]
-    # "twins" (vertices that an automorphism swaps: zero arrow between them,
-    # identical rows elsewhere, that is, equal rows) need only one
-    # representative per branch
-    first: dict = {}
-    twin_class = [first.setdefault(row, i) for i, row in enumerate(b)]
+    # the class of each position, filled class by class
+    group_at = [classes[c] for c in sorted(classes) for _ in classes[c]]
+    # twins (equal rows, so an automorphism swaps them) are placed in label
+    # order: a vertex is a candidate once its previous twin is placed, and
+    # the sentinel n stands for "no previous twin"
+    placed = [False] * n + [True]
+    last: dict = {}
+    prev = [n] * n
+    for i, row in enumerate(b):
+        prev[i] = last.get(row, n)
+        last[row] = i
+    order: list = []
+    key: list = []  # the shells of order, one after another
+    best_key: list = []
+    best_order: tuple = ()
+    # the key of order is below the best key's prefix from position
+    # free - 1 on; 0 while there is no best key, n + 1 when it is a prefix
+    free = 0
 
-    def search(order, key, gi, placed_in_group):
-        if gi == len(groups):
-            if best_key[0] is None or key < best_key[0]:
-                best_key[0] = key
-                best_order[0] = tuple(order)
-            return
-        shells: dict = {}
-        for nxt in groups[gi]:
-            if nxt not in order:
-                shells.setdefault(twin_class[nxt], (nxt, [b[nxt][o] for o in order]))
-        least = min(shell for _, shell in shells.values())
-        for nxt, shell in shells.values():
-            if shell != least:
+    def choices(t: int) -> list:
+        """``[least shell, the candidates that have it, next index]`` for
+        position ``t``."""
+        least, cands = None, []
+        for v in group_at[t]:
+            if placed[v] or not placed[prev[v]]:
                 continue
-            cand = key + shell
-            if best_key[0] is not None and cand > best_key[0][: len(cand)]:
-                continue
-            if placed_in_group + 1 == len(groups[gi]):
-                search(order + [nxt], cand, gi + 1, 0)
+            row = b[v]
+            shell = [row[o] for o in order]
+            if least is None or shell < least:
+                least, cands = shell, [v]
+            elif shell == least:
+                cands.append(v)
+        return [least, cands, 0]
+
+    stack = [choices(0)]
+    while stack:
+        frame = stack[-1]
+        least, cands, i = frame
+        t = len(stack) - 1
+        if i:  # undo the previous choice at position t
+            placed[order.pop()] = False
+            del key[t * (t - 1) // 2 :]
+        if free > t:  # key is the best key's prefix so far
+            start = t * (t - 1) // 2
+            segment = best_key[start : start + t]
+            if least > segment:
+                i = len(cands)  # every candidate here has this shell
             else:
-                search(order + [nxt], cand, gi, placed_in_group + 1)
-
-    search([], [], 0, 0)
-    order = best_order[0]
-    return tuple(b[i][j] for i in order for j in order), order
+                free = t + 1 if least < segment else n + 1
+        if i == len(cands):
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        v = cands[i]
+        placed[v] = True
+        order.append(v)
+        key += least
+        if t + 1 < n:
+            stack.append(choices(t + 1))
+        elif free <= n:
+            best_key, best_order, free = key[:], tuple(order), n + 1
+    return _relabeled(b, best_order), best_order
 
 
 def canonical_key(q: Quiver) -> tuple:
@@ -226,15 +325,20 @@ def mutation_equivalent(q1: Quiver, q2: Quiver, budget: Budget = Budget()) -> Ve
         )
     clock = budget.start()
     capped = False
+    # every explored quiver but a start is within the cap, and a mutation
+    # changes |b[i][j]| only where _mutate reports it; the mutations of a
+    # start above the cap are scanned whole
+    wide = [q for q in (q1, q2) if _peak(q.b) > MAX_MULT]
 
     def neighbours(q):
         nonlocal capped
+        whole = any(q is w for w in wide)
         for k in range(q.n):
-            nq = mutate(q, k)
-            if any(abs(x) > MAX_MULT for row in nq.b for x in row):
+            nb, peak = _mutate(q.b, k)
+            if (_peak(nb) if whole else peak) > MAX_MULT:
                 capped = True
             else:
-                yield k, nq
+                yield k, _quiver(nb)
 
     # bidirectional BFS over isomorphism classes, expanding the smaller side
     front1 = Frontier(q1, canonical_key, neighbours)

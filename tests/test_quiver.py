@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from morsify._common import bareiss
 from morsify.quiver import (
+    MAX_MULT,
     Budget,
     DistinctByInvariant,
     Equivalent,
     Quiver,
+    Unknown,
+    canonical_form,
     canonical_key,
     find_isomorphism,
     format_quiver,
@@ -66,7 +69,111 @@ BIG_RIGHT = quiver_from_arrows(
 )
 
 
+def dense_mutate(q: Quiver, k: int) -> tuple:
+    """The mutation rule entry by entry over the whole matrix: the reference
+    for the local rewrite in ``mutate``."""
+    n, b = q.n, q.b
+    nb = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == k or j == k:
+                nb[i][j] = -b[i][j]
+            else:
+                nb[i][j] = b[i][j] + (
+                    abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])
+                ) // 2
+    return tuple(tuple(row) for row in nb)
+
+
+def recursive_canonical_form(q: Quiver) -> tuple:
+    """The depth-first shell-key search written recursively, with a dense
+    colour refinement: the reference for ``canonical_form``."""
+    b, n = q.b, q.n
+    if n == 0:
+        return (), ()
+    colors = [
+        (tuple(sorted(x for x in b[i] if x > 0)), tuple(sorted(x for x in b[i] if x < 0)))
+        for i in range(n)
+    ]
+    for _ in range(n):
+        new = [
+            (colors[i], tuple(sorted((colors[j], x) for j, x in enumerate(b[i]) if x)))
+            for i in range(n)
+        ]
+        ranks = {c: r for r, c in enumerate(sorted(set(new)))}
+        new_ranked = [ranks[c] for c in new]
+        stable = len(set(new_ranked)) == len(set(colors))
+        colors = new_ranked
+        if stable:
+            break
+    classes: dict = {}
+    for i, c in enumerate(colors):
+        classes.setdefault(c, []).append(i)
+    groups = [classes[c] for c in sorted(classes)]
+    best: list = [None, None]
+    first: dict = {}
+    twin_class = [first.setdefault(row, i) for i, row in enumerate(b)]
+
+    def search(order, key, gi, placed_in_group):
+        if gi == len(groups):
+            if best[0] is None or key < best[0]:
+                best[:] = [key, tuple(order)]
+            return
+        shells: dict = {}
+        for nxt in groups[gi]:
+            if nxt not in order:
+                shells.setdefault(twin_class[nxt], (nxt, [b[nxt][o] for o in order]))
+        least = min(shell for _, shell in shells.values())
+        for nxt, shell in shells.values():
+            if shell != least:
+                continue
+            cand = key + shell
+            if best[0] is not None and cand > best[0][: len(cand)]:
+                continue
+            if placed_in_group + 1 == len(groups[gi]):
+                search(order + [nxt], cand, gi + 1, 0)
+            else:
+                search(order + [nxt], cand, gi, placed_in_group + 1)
+
+    search([], [], 0, 0)
+    order = best[1]
+    return tuple(b[i][j] for i in order for j in order), order
+
+
+matrices = st.integers(1, 9).flatmap(
+    lambda n: st.lists(
+        st.integers(-3, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+    ).map(lambda xs: skew(n, xs))
+)
+
+
+def skew(n: int, upper) -> Quiver:
+    b = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = next(it)
+            b[j][i] = -b[i][j]
+    return Quiver(tuple(map(tuple, b)))
+
+
 class TestMutation:
+    @given(matrices, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_dense_rule(self, q, data):
+        k = data.draw(st.integers(0, q.n - 1))
+        m = mutate(q, k)
+        assert m.b == dense_mutate(q, k)
+        assert all(m.b[i][j] == -m.b[j][i] for i in range(q.n) for j in range(q.n))
+        assert Quiver(m.b) == m
+        assert mutate(m, k) == q
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(ValueError, match="square"):
+            Quiver(((0, 1), (-1,)))
+        with pytest.raises(ValueError, match="skew"):
+            Quiver(((0, 1), (1, 0)))
+
     @given(st.integers(2, 5), st.integers(0, 4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_involution(self, n, seed, data):
@@ -158,6 +265,40 @@ class TestCanonical:
         # arrowless quivers exercise the twin-vertex pruning
         q = Quiver(tuple(tuple(0 for _ in range(12)) for _ in range(12)))
         assert canonical_key(q) == tuple([0] * 144)
+
+    def test_large_arrowless_needs_no_recursion(self):
+        # one search step per vertex, one shell per twin class
+        n = 1100
+        q = Quiver(tuple(tuple([0] * n) for _ in range(n)))
+        key = canonical_key(q)
+        assert len(key) == n * n and not any(key)
+
+    def test_agrees_with_recursive_reference(self):
+        rng = random.Random(17)
+        quivers = []
+        for _ in range(150):
+            n = rng.randint(1, 10)
+            quivers.append(random_quiver(rng, n, mmax=rng.randint(1, 3)))
+        for _ in range(40):
+            # symmetric quivers, where the search branches: a random quiver
+            # on half the vertices, doubled, with arrows across the halves
+            h = rng.randint(1, 5)
+            half = random_quiver(rng, h, mmax=1)
+            b = [[0] * (2 * h) for _ in range(2 * h)]
+            for i in range(h):
+                for j in range(h):
+                    b[i][j] = b[i + h][j + h] = half.b[i][j]
+            for i in range(h):
+                for j in range(i + 1, h):
+                    x = rng.randint(-1, 1)
+                    b[i][j + h], b[j + h][i] = x, -x
+                    b[i + h][j], b[j][i + h] = x, -x
+            q = Quiver(tuple(map(tuple, b)))
+            perm = list(range(2 * h))
+            rng.shuffle(perm)
+            quivers.append(relabel(q, perm))
+        for q in quivers + [BIG_LEFT, BIG_RIGHT, mutate_seq(BIG_LEFT, (0, 3))]:
+            assert canonical_form(q) == recursive_canonical_form(q)
 
     # two labelings of one regular tournament on 11 vertices (the circulant
     # i -> i+1..i+5 with directed 3-cycles reversed), row i of b as signs
@@ -254,6 +395,14 @@ class TestMutationEquivalent:
         res = mutation_equivalent(BIG_LEFT, BIG_LEFT)
         assert isinstance(res, Equivalent)
         assert res.witness == ()
+
+    def test_cap_applies_to_start_quivers(self):
+        # every mutation of q1 keeps its 70-fold arrow, so the search may
+        # explore nothing, even where the rewritten entries stay small
+        q1 = quiver_from_arrows(3, [(0, 1, 70), (1, 2, 1)])
+        res = mutation_equivalent(q1, mutate(q1, 2))
+        assert isinstance(res, Unknown)
+        assert res.reason.startswith(f"orbits disjoint below multiplicity cap {MAX_MULT};")
 
     def test_big_pair_by_search(self):
         res = mutation_equivalent(
