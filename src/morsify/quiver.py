@@ -10,7 +10,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
 from ._common import bareiss, read_directives
@@ -74,19 +73,23 @@ def _quiver(b: tuple) -> Quiver:
     return q
 
 
-def _mutate(b: tuple, k: int) -> tuple:
-    """The mutation of ``b`` at ``k`` and the largest absolute value among the
-    entries it changed other than in row and column ``k``.
+def mutate(q: Quiver, k: int) -> Quiver:
+    """The quiver mutated at ``k``: for every path ``i -> k -> j`` add the
+    composite arrows ``i -> j`` (cancelling 2-cycles), then reverse every
+    arrow at ``k`` (Fomin & Zelevinsky).
 
     Row ``k`` names the neighbours: ``y = b[k][j] > 0`` arrows ``k -> j``
-    and ``-x`` arrows ``i -> k`` where ``x = b[k][i] < 0``.  Each such pair
-    adds ``-x * y`` arrows ``i -> j``, and row and column ``k`` change sign
-    (Fomin & Zelevinsky).  Every other entry is unchanged, so only the rows
-    of the neighbours of ``k`` are copied."""
+    and ``-x`` arrows ``i -> k`` where ``x = b[k][i] < 0``; each such pair
+    adds ``-x * y`` arrows ``i -> j``.  Only row and column ``k`` and the
+    entries between the in- and out-neighbours of ``k`` change, so only the
+    rows of the neighbours are copied.  Each write is mirrored, so the
+    result is skew-symmetric by construction and is not checked again."""
+    if not 0 <= k < q.n:
+        raise ValueError(f"mutation vertex {k} out of range")
+    b = q.b
     bk = b[k]
     rows = [list(row) if x else row for row, x in zip(b, bk)]
     outs = [(j, y) for j, y in enumerate(bk) if y > 0]
-    peak = 0
     for i, x in enumerate(bk):
         if x < 0:
             ri = rows[i]
@@ -94,36 +97,18 @@ def _mutate(b: tuple, k: int) -> tuple:
                 v = ri[j] - x * y
                 ri[j] = v
                 rows[j][i] = -v
-                peak = max(peak, abs(v))
     for i, x in enumerate(bk):
         if x:
             rows[i][k] = x
             rows[i] = tuple(rows[i])
     rows[k] = tuple(-x for x in bk)
-    return tuple(rows), peak
-
-
-def mutate(q: Quiver, k: int) -> Quiver:
-    """The quiver mutated at ``k``: for every path ``i -> k -> j`` add the
-    composite arrows ``i -> j`` (cancelling 2-cycles), then reverse every
-    arrow at ``k``.  Only row and column ``k`` and the entries between the
-    in- and out-neighbours of ``k`` change, and the result is skew-symmetric
-    by construction, so it is not checked again."""
-    if not 0 <= k < q.n:
-        raise ValueError(f"mutation vertex {k} out of range")
-    return _quiver(_mutate(q.b, k)[0])
+    return _quiver(tuple(rows))
 
 
 def mutate_seq(q: Quiver, ks) -> Quiver:
     for k in ks:
         q = mutate(q, k)
     return q
-
-
-def _peak(b: tuple) -> int:
-    """The largest arrow multiplicity of a skew-symmetric matrix, which is
-    its largest entry."""
-    return max(map(max, b), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,38 +129,28 @@ def _refine_colors(b: tuple) -> tuple:
     entries.  Every later round splits by the multiset of (colour, entry)
     over the nonzero entries of the row (the zero entries follow from the
     class sizes), until the partition is stable or discrete.  The colours
-    are ranks, so a lower colour means a smaller signature in every round;
-    the pair (colour, entry) is ranked as the integer colour * width + entry.
+    are ranks, so a lower colour means a smaller signature in every round.
     """
     n = len(b)
     round0 = []
     for row in b:
         s = sorted(row)
-        round0.append((tuple(s[bisect_right(s, 0) :]), tuple(s[: bisect_left(s, 0)])))
+        pos, neg = s[bisect_right(s, 0) :], s[: bisect_left(s, 0)]
+        round0.append((tuple(pos), tuple(neg)))
     colors, count = _ranks(round0)
     if count == n:
         return colors, count
     nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
-    width = 2 * _peak(b) + 1
     while True:
-        weight = [c * width for c in colors]
         colors, new_count = _ranks(
             [
-                (colors[i], tuple(sorted([weight[j] + x for j, x in nz])))
+                (colors[i], tuple(sorted((colors[j], x) for j, x in nz)))
                 for i, nz in enumerate(nonzero)
             ]
         )
         if new_count in (count, n):
             return colors, new_count
         count = new_count
-
-
-def _relabeled(b: tuple, order) -> tuple:
-    """The matrix ``b`` in the vertex order ``order``, flattened row by row."""
-    if len(order) == 1:
-        return (b[order[0]][order[0]],)
-    pick = itemgetter(*order)
-    return tuple(chain.from_iterable(pick(b[i]) for i in order))
 
 
 def canonical_form(q: Quiver) -> tuple:
@@ -202,7 +177,7 @@ def canonical_form(q: Quiver) -> tuple:
         order = [0] * n
         for i, c in enumerate(colors):
             order[c] = i
-        return _relabeled(b, order), tuple(order)
+        return tuple(b[i][j] for i in order for j in order), tuple(order)
     classes: dict = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(i)
@@ -267,7 +242,8 @@ def canonical_form(q: Quiver) -> tuple:
             stack.append(choices(t + 1))
         elif free <= n:
             best_key, best_order, free = key[:], tuple(order), n + 1
-    return _relabeled(b, best_order), best_order
+    order = best_order
+    return tuple(b[i][j] for i in order for j in order), order
 
 
 def canonical_key(q: Quiver) -> tuple:
@@ -309,6 +285,12 @@ def quick_invariants(q: Quiver) -> tuple:
     return (q.n, abs(d), r)
 
 
+def _peak(b: tuple) -> int:
+    """The largest arrow multiplicity of a nonempty skew-symmetric matrix,
+    which is its largest entry."""
+    return max(chain.from_iterable(b))
+
+
 def mutation_equivalent(q1: Quiver, q2: Quiver, budget: Budget = Budget()) -> Verdict:
     """Bidirectional search for a mutation sequence from ``q1`` to ``q2``.
 
@@ -325,20 +307,15 @@ def mutation_equivalent(q1: Quiver, q2: Quiver, budget: Budget = Budget()) -> Ve
         )
     clock = budget.start()
     capped = False
-    # every explored quiver but a start is within the cap, and a mutation
-    # changes |b[i][j]| only where _mutate reports it; the mutations of a
-    # start above the cap are scanned whole
-    wide = [q for q in (q1, q2) if _peak(q.b) > MAX_MULT]
 
     def neighbours(q):
         nonlocal capped
-        whole = any(q is w for w in wide)
         for k in range(q.n):
-            nb, peak = _mutate(q.b, k)
-            if (_peak(nb) if whole else peak) > MAX_MULT:
+            nb = mutate(q, k)
+            if _peak(nb.b) > MAX_MULT:
                 capped = True
             else:
-                yield k, _quiver(nb)
+                yield k, nb
 
     # bidirectional BFS over isomorphism classes, expanding the smaller side
     front1 = Frontier(q1, canonical_key, neighbours)
