@@ -37,10 +37,9 @@ from .plabic import (
     DisconnectedFence,
     FenceWord,
     PlabicGraph,
+    _legal_moves,
     admissible_orientation,
-    apply_move,
     attach_plabic,
-    enumerate_moves,
     faces,
     fence_of_divide,
     fence_of_word,
@@ -396,12 +395,11 @@ def check_moves_vs_mutations(count: int = 500) -> AcceptanceResult:
     done = 0
     p = _random_fence(rng)[1]
     while done < count:
-        moves = enumerate_moves(p) if len(p.internal) <= 14 else []
+        moves = list(_legal_moves(p)) if len(p.internal) <= 14 else []
         if not moves:
             p = _random_fence(rng)[1]
             continue
-        m = rng.choice(moves)
-        np_ = apply_move(p, m)
+        m, np_ = rng.choice(moves)
         if len(np_.internal) > 16:
             continue
         q_before, q_after = quiver_of_plabic(p), quiver_of_plabic(np_)
@@ -435,10 +433,9 @@ def check_moves_preserve_links(count: int = 200) -> AcceptanceResult:
         o = admissible_orientation(p)
         base = fingerprint(link_of_oriented_plabic(p, o))
         for _ in range(rng.randint(1, 3)):
-            moves = enumerate_moves(p)
+            moves = list(_legal_moves(p))
             rng.shuffle(moves)
-            for m in moves:
-                np_ = apply_move(p, m)
+            for _, np_ in moves:
                 if len(np_.internal) > 12:
                     continue
                 no = admissible_orientation(np_)

@@ -546,20 +546,32 @@ def move_equivalent(
 # Plabic fences
 
 
-@dataclass(frozen=True)
+# one shared tuple per valid letter, so that long words cost one reference
+# per letter; only validated letters of exact types str and int go in, so the
+# table stays small and an equal letter of another type keeps its own value
+_LETTERS: dict = {}
+
+
+@dataclass(frozen=True, slots=True)
 class FenceWord:
     k: int
     letters: tuple  # of ("s" | "t", index)
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(tuple(x) for x in self.letters))
         if self.k < 1:
             raise ValueError("fence word needs k >= 1")
-        for kind, i in self.letters:
+        letters = []
+        for letter in self.letters:
+            letter = tuple(letter)
+            kind, i = letter
             if kind not in ("s", "t"):
                 raise ValueError(f"unknown connector kind {kind!r}")
             if not 1 <= i <= self.k - 1:
                 raise ValueError(f"connector index {i} out of range")
+            if type(kind) is str and type(i) is int:
+                letter = _LETTERS.setdefault(letter, letter)
+            letters.append(letter)
+        object.__setattr__(self, "letters", tuple(letters))
 
 
 def parse_fence_word(text: str) -> FenceWord:
@@ -819,104 +831,61 @@ def admissible_orientation(p: PlabicGraph) -> Optional[Orientation]:
 
 
 def _solve_orientation(p: PlabicGraph) -> Optional[Orientation]:
-    """:func:`admissible_orientation` of a graph already validated."""
+    """:func:`admissible_orientation` of a graph already validated, in
+    linear time.
+
+    The degree rule forces edges from a worklist of vertices: a vertex whose
+    in-count is full sends its undecided edges out, one whose out-count is
+    full takes them in, and each decided edge wakes the vertex at its other
+    end.  The leaves start it, each having one edge and a full count.
+
+    No search is needed.  If the forcing stops with an edge undecided, each
+    vertex at an undecided edge still needs an incoming edge among the
+    undecided ones (a black vertex has decided no outgoing edge and at most
+    one incoming, a white one no incoming), so every completion that obeys
+    the degree rule has a directed cycle among them.  The forcing sees only
+    the degree rule; the finished assignment is checked by
+    :func:`_is_admissible`."""
     if len(p.black) * 2 != len(p.internal | p.leaves):
         return None  # unbalanced graphs never admit one
     twin = p.twin()
-    edge_list = sorted(p.edges, key=sorted)
     caps = {}
+    at: dict = {}  # vertex -> [(edge, dart of the edge at the vertex)]
     for v in p.internal | p.leaves:
         deg = 3 if v in p.internal else 1
         caps[v] = (_in_degree(p, v), deg - _in_degree(p, v))  # (in, out)
+        at[v] = []
+    for e in p.edges:
+        for x in e:
+            at[x[0]].append((e, x))
 
     heads: dict = {}  # edge -> head dart
     counts = {v: [0, 0] for v in caps}  # decided (in, out)
-
-    def set_head(e, h) -> bool:
-        heads[e] = h
-        hv = h[0]
-        tv = twin[h][0]
-        counts[hv][0] += 1
-        counts[tv][1] += 1
-        return counts[hv][0] <= caps[hv][0] and counts[tv][1] <= caps[tv][1]
-
-    def unset_head(e):
-        h = heads.pop(e)
-        counts[h[0]][0] -= 1
-        counts[twin[h][0]][1] -= 1
-
-    def propagate(trail) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for v in caps:
-                undecided = [
-                    e
-                    for e in edge_list
-                    if e not in heads and any(x[0] == v for x in e)
-                ]
-                if not undecided:
-                    if counts[v] != list(caps[v]):
-                        return False
-                    continue
-                cin, cout = counts[v]
-                if cin == caps[v][0]:
-                    for e in undecided:
-                        h = next(x for x in e if x[0] == v)
-                        if not set_head(e, twin[h]):
-                            trail.append(e)
-                            return False
-                        trail.append(e)
-                        changed = True
-                elif cout == caps[v][1]:
-                    for e in undecided:
-                        h = next(x for x in e if x[0] == v)
-                        if not set_head(e, h):
-                            trail.append(e)
-                            return False
-                        trail.append(e)
-                        changed = True
-        return True
-
-    def solve() -> Optional[set]:
-        trail: list = []
-        if not propagate(trail):
-            for e in trail:
-                unset_head(e)
-            return None
-        undecided = [e for e in edge_list if e not in heads]
-        if not undecided:
-            hs = set(heads.values())
-            result = hs if _is_admissible(p, hs) else None
-            for e in trail:
-                unset_head(e)
-            return result
-        e = undecided[0]
-        a, b = sorted(e)
-        for h in (a, b):
-            sub: list = [e]
-            if set_head(e, h):
-                deeper = solve()
-                if deeper is not None:
-                    for x in sub:
-                        unset_head(x)
-                    for ee in trail:
-                        unset_head(ee)
-                    return deeper
-            for x in sub:
-                unset_head(x)
-        for ee in trail:
-            unset_head(ee)
+    work = list(caps)
+    while work:
+        v = work.pop()
+        cin, cout = counts[v]
+        if cin == caps[v][0]:
+            outward = True
+        elif cout == caps[v][1]:
+            outward = False
+        else:
+            continue
+        for e, x in at[v]:
+            if e in heads:
+                continue
+            h = twin[x] if outward else x
+            heads[e] = h
+            hv, tv = h[0], twin[h][0]
+            counts[hv][0] += 1
+            counts[tv][1] += 1
+            if counts[hv][0] > caps[hv][0] or counts[tv][1] > caps[tv][1]:
+                return None
+            work.append(twin[x][0])
+    if len(heads) < len(p.edges):
         return None
-
-    # forced boundary edges first
-    for l in sorted(p.leaves):
-        e = frozenset({(l, 0), twin[(l, 0)]})
-        h = (l, 0) if p.color(l) == "b" else twin[(l, 0)]
-        if e not in heads and not set_head(e, h):
-            return None
-    result = solve()
-    return Orientation(frozenset(result)) if result is not None else None
+    hs = frozenset(heads.values())
+    return Orientation(hs) if _is_admissible(p, hs) else None
 
 
 def transport_orientation(

@@ -1,6 +1,9 @@
 """Plabic graphs: moves, fences, gadget attachment, orientations, links."""
 
 import random
+import sys
+import time
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -18,7 +21,7 @@ from morsify.divide import (
     yb_sites,
 )
 from morsify.accept import UNORIENTABLE, _expected_fence_orientation
-from morsify.link import closure, component_count, fingerprint
+from morsify.link import alexander, closure, component_count, fingerprint
 from morsify.plabic import (
     DisconnectedFence,
     FenceWord,
@@ -27,6 +30,9 @@ from morsify.plabic import (
     Orientation,
     PlabicGraph,
     SiteNotFound,
+    _LETTERS,
+    _colours_swapped,
+    _in_degree,
     _is_admissible,
     _legal_moves,
     admissible_orientation,
@@ -147,6 +153,23 @@ class TestFences:
             FenceWord(2, (("s", 2),))
         with pytest.raises(ValueError):
             FenceWord(2, (("u", 1),))
+
+    def test_letters_are_shared(self):
+        """Words hold one shared tuple per letter and compare and hash by
+        value; a rejected letter never enters the shared table."""
+        a = FenceWord(3, [["s", 1], ("t", 2)])
+        b = FenceWord(3, (("s", 1), ("t", 2)))
+        assert a == b and hash(a) == hash(b)
+        assert a.letters == (("s", 1), ("t", 2))
+        assert all(x is y for x, y in zip(a.letters, b.letters))
+        assert FenceWord(3, (("s", 1),)) != FenceWord(4, (("s", 1),))
+        # an equal letter of another type keeps its own value
+        assert type(FenceWord(2, (("s", 1.0),)).letters[0][1]) is float
+        table = dict(_LETTERS)
+        for bad in ((("s", 7),), (("u", 1),), (("s", 1), ("t", 0))):
+            with pytest.raises(ValueError):
+                FenceWord(3, bad)
+        assert _LETTERS == table
 
     def test_fence_word_of_divide(self):
         s = scannable(3, (2,), (1, 2, 1), (1,))
@@ -580,14 +603,194 @@ class TestOrientations:
                 call()
 
     def test_long_fence(self):
-        """A 1,500-letter fence: its closed-form orientation is accepted and
-        its link has the components of the braid closure."""
+        """A 1,500-letter fence: the solver finds its closed-form orientation
+        and the link has the components of the braid closure."""
         rng = random.Random(11)
         w = FenceWord(2, tuple(rng.choice((S1, T1)) for _ in range(1500)))
         p = fence_of_word(w)
-        d = link_of_oriented_plabic(p, Orientation(_expected_fence_orientation(p)))
+        expected = _expected_fence_orientation(p)
+        assert admissible_orientation(p).heads == expected
+        d = link_of_oriented_plabic(p, Orientation(expected))
         beta = beta_of_fence_word(w)
         assert component_count(d) == component_count(closure(beta.letters, beta.k))
+
+    def test_solver_needs_no_recursion(self):
+        """A 400-letter fence is oriented with a recursion limit of 200."""
+        rng = random.Random(12)
+        p = fence_of_word(
+            FenceWord(2, tuple(rng.choice((S1, T1)) for _ in range(400)))
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            start = time.perf_counter()
+            o = admissible_orientation(p)
+            seconds = time.perf_counter() - start
+        finally:
+            sys.setrecursionlimit(limit)
+        assert o.heads == _expected_fence_orientation(p)
+        assert seconds < 1  # about 20 ms; the cubic solver took 8 s at 200 letters
+
+    def test_agrees_with_reference_on_fixed_graphs(self):
+        """Graphs without an orientation: the square with a doubled side, the
+        unorientable graph of the acceptance checks, and a vertex with a loop
+        in either colouring."""
+        loops = [
+            PlabicGraph(
+                {"v"}, {"w"}, black,
+                {frozenset({("w", 0), ("v", 0)}), frozenset({("v", 1), ("v", 2)})},
+                ("w",),
+            )
+            for black in ({"v"}, {"w"})
+        ]
+        assert all(validate(p) == [] for p in loops)
+        for p in [NO_ORIENTATION, UNORIENTABLE] + loops:
+            assert admissible_orientation(p) is None
+            assert reference_orientation(p) is None
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_reference(self, data):
+        """On random fences of 2-4 strands and at most 14 letters, each
+        followed by up to 6 random legal moves, on their colour-swapped
+        graphs and on valid recolourings of the last graph that swap up to
+        three black-white pairs, the solver returns what the recursive search
+        did.  Forcing decides every fence and moved fence; the recolourings
+        are where it stalls, and where the recursive search branches."""
+        k = data.draw(st.integers(2, 4))
+        letters = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from("st"), st.integers(1, k - 1)),
+                max_size=14 - (k - 1),
+            )
+        )
+        # a strand pair without a connector leaves the fence apart
+        letters += [("s", i) for i in range(1, k) if ("s", i) not in letters
+                    and ("t", i) not in letters]
+        try:
+            p = fence_of_word(FenceWord(k, tuple(letters)))
+        except DisconnectedFence:
+            return
+        graphs = [p]
+        for _ in range(data.draw(st.integers(0, 6))):
+            moves = list(_legal_moves(p))
+            if not moves:
+                break
+            p = data.draw(st.sampled_from(moves))[1]
+            graphs.append(p)
+        graphs += [_colours_swapped(q) for q in graphs]
+        verts = sorted(p.internal | p.leaves)
+        for _ in range(data.draw(st.integers(0, 3))):
+            b = data.draw(st.sampled_from(sorted(p.black)))
+            w = data.draw(st.sampled_from([v for v in verts if v not in p.black]))
+            p = replace(p, black=p.black - {b} | {w})
+            if not validate(p):
+                graphs.append(p)
+        for q in graphs:
+            assert admissible_orientation(q) == reference_orientation(q)
+
+
+def reference_orientation(p: PlabicGraph):
+    """The search the forcing solver replaced, kept as a reference: each
+    pass of ``propagate`` rescans every edge at every vertex, and ``solve``
+    recurses once per branch point."""
+    if len(p.black) * 2 != len(p.internal | p.leaves):
+        return None
+    twin = p.twin()
+    edge_list = sorted(p.edges, key=sorted)
+    caps = {}
+    for v in p.internal | p.leaves:
+        deg = 3 if v in p.internal else 1
+        caps[v] = (_in_degree(p, v), deg - _in_degree(p, v))  # (in, out)
+
+    heads: dict = {}  # edge -> head dart
+    counts = {v: [0, 0] for v in caps}  # decided (in, out)
+
+    def set_head(e, h) -> bool:
+        heads[e] = h
+        hv = h[0]
+        tv = twin[h][0]
+        counts[hv][0] += 1
+        counts[tv][1] += 1
+        return counts[hv][0] <= caps[hv][0] and counts[tv][1] <= caps[tv][1]
+
+    def unset_head(e):
+        h = heads.pop(e)
+        counts[h[0]][0] -= 1
+        counts[twin[h][0]][1] -= 1
+
+    def propagate(trail) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for v in caps:
+                undecided = [
+                    e
+                    for e in edge_list
+                    if e not in heads and any(x[0] == v for x in e)
+                ]
+                if not undecided:
+                    if counts[v] != list(caps[v]):
+                        return False
+                    continue
+                cin, cout = counts[v]
+                if cin == caps[v][0]:
+                    for e in undecided:
+                        h = next(x for x in e if x[0] == v)
+                        if not set_head(e, twin[h]):
+                            trail.append(e)
+                            return False
+                        trail.append(e)
+                        changed = True
+                elif cout == caps[v][1]:
+                    for e in undecided:
+                        h = next(x for x in e if x[0] == v)
+                        if not set_head(e, h):
+                            trail.append(e)
+                            return False
+                        trail.append(e)
+                        changed = True
+        return True
+
+    def solve():
+        trail: list = []
+        if not propagate(trail):
+            for e in trail:
+                unset_head(e)
+            return None
+        undecided = [e for e in edge_list if e not in heads]
+        if not undecided:
+            hs = set(heads.values())
+            result = hs if _is_admissible(p, hs) else None
+            for e in trail:
+                unset_head(e)
+            return result
+        e = undecided[0]
+        a, b = sorted(e)
+        for h in (a, b):
+            sub: list = [e]
+            if set_head(e, h):
+                deeper = solve()
+                if deeper is not None:
+                    for x in sub:
+                        unset_head(x)
+                    for ee in trail:
+                        unset_head(ee)
+                    return deeper
+            for x in sub:
+                unset_head(x)
+        for ee in trail:
+            unset_head(ee)
+        return None
+
+    # forced boundary edges first
+    for l in sorted(p.leaves):
+        e = frozenset({(l, 0), twin[(l, 0)]})
+        h = (l, 0) if p.color(l) == "b" else twin[(l, 0)]
+        if e not in heads and not set_head(e, h):
+            return None
+    result = solve()
+    return Orientation(frozenset(result)) if result is not None else None
 
 
 def _near_small_fences() -> list:
@@ -653,6 +856,33 @@ class TestLinks:
             d = link_of_oriented_plabic(p, o)
             beta = beta_of_fence_word(w)
             assert fingerprint(d) == fingerprint(beta.letters, beta.k), letters
+
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(
+                    st.tuples(st.sampled_from("st"), st.integers(1, k - 1)),
+                    min_size=1,
+                    max_size=10,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_plabic_route_matches_braid_route(self, word):
+        """The link of the oriented fence and the closure of its braid have
+        the same component count, and the Wirtinger Alexander polynomial of
+        the one equals the Burau one of the other."""
+        w = FenceWord(word[0], tuple(word[1]))
+        try:
+            p = fence_of_word(w)
+        except DisconnectedFence:
+            return
+        d = link_of_oriented_plabic(p, admissible_orientation(p))
+        beta = beta_of_fence_word(w)
+        assert component_count(d) == component_count(closure(beta.letters, beta.k))
+        assert alexander(d) == alexander(beta.letters, beta.k)
 
     def test_rejects_inadmissible(self):
         p = fence(S1, T1)
