@@ -153,6 +153,12 @@ def validate(p: PlabicGraph) -> list[str]:
     return problems
 
 
+def _require_valid(p: PlabicGraph) -> None:
+    problems = validate(p)
+    if problems:
+        raise ValueError(f"invalid plabic graph: {problems[0]}")
+
+
 # ---------------------------------------------------------------------------
 # The quiver of a plabic graph
 
@@ -187,9 +193,14 @@ class MoveDescriptor:
     site: tuple
 
 
-# Each candidate generator is the one statement of its moves' precondition;
-# a candidate is legal when the graph its builder makes is valid.  Builders
-# raise IllegalMove only for failures that show while building.
+# Each candidate generator is the one statement of its moves' precondition,
+# and on a valid graph the precondition decides legality: every candidate's
+# result is valid, so no result is validated.  A flip contracts and
+# re-expands one edge between vertices of one colour, which keeps the genus,
+# the connectivity and every edge's bicoloured status; a square move changes
+# colours only, and each outward edge it affects borders a face that still
+# has a bicoloured side on the square; a tail move changes only edges on a
+# boundary face.
 
 
 def _flip_candidates(p: PlabicGraph):
@@ -216,15 +227,13 @@ def _apply_flip(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
     # Rotate the shared edge a quarter turn: the four outside edges, read
     # counterclockwise around the pair, are re-distributed between u and v.
     portmap = {a: (u, 0), b: (v, 0), pu: (u, 2), sv2: (u, 1), qu: (v, 1), rv: (v, 2)}
-    new_edges = []
-    for e in p.edges:
-        x, y = sorted(e)
-        ne = frozenset({portmap.get(x, x), portmap.get(y, y)})
-        if len(ne) != 2:
-            raise IllegalMove("flip would collapse an edge")
-        new_edges.append(ne)
-    outer = portmap.get(p.outer_dart, p.outer_dart)
-    return replace(p, edges=frozenset(new_edges), outer_dart=outer)
+    new_edges = frozenset(
+        frozenset(portmap.get(x, x) for x in e) for e in p.edges
+    )
+    # the shared edge leaves the face on either side of it, so a mark on it
+    # moves on to the next dart of that face's walk
+    outer = {a: rv, b: pu}.get(p.outer_dart, p.outer_dart)
+    return replace(p, edges=new_edges, outer_dart=portmap.get(outer, outer))
 
 
 def _square_candidates(p: PlabicGraph):
@@ -256,11 +265,17 @@ def _apply_square(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
 
 
 def _tail_remove_candidates(p: PlabicGraph):
-    """A leaf joined to an internal vertex of the other colour."""
+    """A leaf joined to an internal vertex of the other colour whose other
+    two darts are not joined to each other (removing the tail would leave a
+    closed curve without a vertex)."""
     twin = p.twin()
     for l in sorted(p.leaves):
-        v, _ = twin[(l, 0)]
-        if v in p.internal and p.color(v) != p.color(l):
+        v, s = twin[(l, 0)]
+        if (
+            v in p.internal
+            and p.color(v) != p.color(l)
+            and twin[(v, (s + 1) % 3)] != (v, (s + 2) % 3)
+        ):
             yield MoveDescriptor("tailRemove", (l,))
 
 
@@ -271,8 +286,6 @@ def _apply_tail_remove(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
     d1 = (v, (s + 1) % 3)
     d2 = (v, (s + 2) % 3)
     far1, far2 = twin[d1], twin[d2]
-    if far1 == d2:
-        raise IllegalMove("removal would leave a vertex-free closed curve")
     removed = {
         frozenset({(l, 0), (v, s)}),
         frozenset({d1, far1}),
@@ -282,19 +295,11 @@ def _apply_tail_remove(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
     boundary = tuple(x for x in p.boundary_order if x != l)
     outer = p.outer_dart
     if not boundary:
-        # the face the tail poked into becomes the marked outer face
+        # the face the tail poked into becomes the marked outer face; its walk
+        # goes on from d1 to a dart at far1's vertex, which is neither l nor v
         cm = p.closed_map()
-        arc_darts = cm.arc_darts
-        outer = None
-        for f in cm.faces():
-            if any(x in arc_darts for x in f):
-                for x in f:
-                    if x not in arc_darts and x[0] not in (l, v):
-                        outer = x
-                        break
-                break
-        if outer is None:
-            raise IllegalMove("cannot determine the outer face after removal")
+        f = next(f for f in cm.faces() if not cm.arc_darts.isdisjoint(f))
+        outer = next(x for x in f if x not in cm.arc_darts and x[0] not in (l, v))
     return PlabicGraph(
         p.internal - {v},
         p.leaves - {l},
@@ -383,14 +388,10 @@ def _candidates(p: PlabicGraph, kinds):
 
 def _legal_moves(p: PlabicGraph, kinds=None):
     """``(move, result)`` for every legal move of the given kinds (all when
-    None), in the order of :func:`enumerate_moves`."""
+    None) of the valid graph ``p``, in the order of :func:`enumerate_moves`;
+    each result is built when the caller reaches it."""
     for m, build in _candidates(p, kinds):
-        try:
-            out = build(p, m)
-        except IllegalMove:
-            continue
-        if not validate(out):
-            yield m, out
+        yield m, build(p, m)
 
 
 def apply_move(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
@@ -412,8 +413,10 @@ def apply_move(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
 
 def enumerate_moves(p: PlabicGraph, kinds=None) -> list[MoveDescriptor]:
     """All legal moves (whose result is a valid plabic graph), of the given
-    kinds when ``kinds`` is not None."""
-    return [m for m, _ in _legal_moves(p, kinds)]
+    kinds when ``kinds`` is not None; raises ``ValueError`` when ``p`` fails
+    :func:`validate`."""
+    _require_valid(p)
+    return [m for m, _ in _candidates(p, kinds)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +495,11 @@ def move_equivalent(
 
     The orbit is infinite (tails can always be attached), so the search caps
     the graph size at the larger input plus ``size_slack``; exhaustion under
-    the cap yields ``Unknown``, not a proof of distinctness.
+    the cap yields ``Unknown``, not a proof of distinctness.  Raises
+    ``ValueError`` when either graph fails :func:`validate`.
     """
+    _require_valid(p1)
+    _require_valid(p2)
     par1, par2 = _balance_parity(p1), _balance_parity(p2)
     if par1 != par2:
         return DistinctByInvariant(
@@ -770,12 +776,6 @@ class Orientation:
 
     def points_at(self, dart: Dart) -> bool:
         return dart in self.heads
-
-
-def _require_valid(p: PlabicGraph) -> None:
-    problems = validate(p)
-    if problems:
-        raise ValueError(f"invalid plabic graph: {problems[0]}")
 
 
 def _in_degree(p: PlabicGraph, v) -> int:

@@ -170,7 +170,7 @@ class TestPlabicVerbs:
         code, out, _ = run(capsys, "orient", str(f))
         assert code == 0 and out.strip() == "NONE"
 
-    @pytest.mark.parametrize("verb", ("orient", "plabic-link"))
+    @pytest.mark.parametrize("verb", ("orient", "plabic-link", "moves", "move-equiv"))
     @pytest.mark.parametrize(
         "text, problem",
         ((UNPAIRED_PLB, "unpaired"), (TWISTED_STAR_PLB, "genus > 0")),
@@ -178,9 +178,16 @@ class TestPlabicVerbs:
     def test_invalid_graph(self, capsys, tmp_path, verb, text, problem):
         f = tmp_path / "p.plb"
         f.write_text(text)
-        code, out, err = run(capsys, verb, str(f))
-        assert code == 1 and out == ""
-        assert err.startswith("error: invalid plabic graph: ") and problem in err
+        calls = [[str(f)]]
+        if verb == "move-equiv":
+            # the invalid graph goes in either position, next to a valid one
+            g = tmp_path / "q.plb"
+            g.write_text(format_plabic(NO_ORIENTATION))
+            calls = [[str(f), str(g)], [str(g), str(f)]]
+        for files in calls:
+            code, out, err = run(capsys, verb, *files)
+            assert code == 1 and out == ""
+            assert err.startswith("error: invalid plabic graph: ") and problem in err
 
     def test_plabic_link_parses(self, capsys, sdv, tmp_path):
         code, out, _ = run(capsys, "fence", sdv)

@@ -14,6 +14,7 @@ from morsify._common import Budget
 from morsify.braid import beta_of_fence_word
 from morsify.divide import (
     apply_yb,
+    lissajous,
     parse_planar_divide,
     scannable,
     scannable_to_planar,
@@ -31,6 +32,7 @@ from morsify.plabic import (
     PlabicGraph,
     SiteNotFound,
     _LETTERS,
+    _candidates,
     _colours_swapped,
     _in_degree,
     _is_admissible,
@@ -247,6 +249,39 @@ THETA = PlabicGraph(
     boundary_order=(),
 )
 
+# a leafless tetrahedron with one black edge a-b: the outer face is the
+# triangle a-b-c when the marked dart is a.0, b.0 or c.0
+TETRAHEDRON = PlabicGraph(
+    internal=frozenset("abcd"),
+    leaves=frozenset(),
+    black=frozenset("ab"),
+    edges=frozenset(
+        frozenset(e)
+        for e in (
+            (("a", 0), ("b", 2)), (("a", 1), ("d", 0)), (("a", 2), ("c", 0)),
+            (("b", 0), ("c", 2)), (("b", 1), ("d", 1)), (("c", 1), ("d", 2)),
+        )
+    ),
+    boundary_order=(),
+    outer_dart=("a", 0),
+)
+
+# a theta graph with one edge subdivided by a vertex that carries the one
+# leaf; the leaf is white and its neighbour black, so the tail can go
+TAILED_THETA = PlabicGraph(
+    internal=frozenset({"x", "y", "v"}),
+    leaves=frozenset({"l"}),
+    black=frozenset({"x", "v"}),
+    edges=frozenset(
+        frozenset(e)
+        for e in (
+            (("x", 0), ("y", 0)), (("x", 1), ("y", 2)), (("x", 2), ("v", 1)),
+            (("v", 2), ("y", 1)), (("v", 0), ("l", 0)),
+        )
+    ),
+    boundary_order=("l",),
+)
+
 
 class TestValidation:
     def test_disconnected(self):
@@ -372,6 +407,116 @@ class TestMoves:
         for m in enumerate_moves(p):
             q = apply_move(p, m)
             assert validate(q) == []
+
+    def test_invalid_graph_rejected(self):
+        p = fence(S1, T1)
+        torn = replace(p, edges=p.edges - {min(p.edges, key=sorted)})
+        for call in (
+            lambda: enumerate_moves(torn),
+            lambda: move_equivalent(torn, p),
+            lambda: move_equivalent(p, torn),
+        ):
+            with pytest.raises(ValueError, match="invalid plabic graph"):
+                call()
+
+    def test_flip_keeps_the_outer_face(self):
+        """On a leafless graph, a flip of an edge of the marked outer face
+        takes that side off the face, and flipping back restores the
+        graph."""
+        for outer in (("a", 0), ("b", 0), ("c", 0)):
+            p = replace(TETRAHEDRON, outer_dart=outer)
+            assert validate(p) == []
+            (before,) = faces(p)[1]
+            code = canonical_code(p, strict_boundary_colors=True)
+            for m in enumerate_moves(p, ("flipBlack",)):
+                q = apply_move(p, m)
+                (after,) = faces(q)[1]
+                assert len(after) == len(before) - 1
+                assert any(
+                    canonical_code(apply_move(q, back), True) == code
+                    for back in enumerate_moves(q, ("flipBlack",))
+                )
+
+    def test_listing_agrees_with_reference_on_fixed_graphs(self):
+        """Cases random fences rarely reach: a graph stripped to one leaf and
+        then to none, a tail whose removal would close a curve without a
+        vertex, and an attached lissajous(3, 2) divide."""
+        p = apply_move(
+            TAILED_THETA, enumerate_moves(TAILED_THETA, ("tailAttach",))[0]
+        )
+        stripped = [p]
+        while p.leaves:
+            p = apply_move(p, enumerate_moves(p, ("tailRemove",))[0])
+            stripped.append(p)
+        assert [len(q.leaves) for q in stripped] == [2, 1, 0]
+        loop = PlabicGraph(
+            {"v"}, {"w"}, {"v"},
+            {frozenset({("w", 0), ("v", 0)}), frozenset({("v", 1), ("v", 2)})},
+            ("w",),
+        )
+        assert validate(loop) == []
+        assert not enumerate_moves(loop, ("tailRemove",))
+        with pytest.raises(IllegalMove):
+            apply_move(loop, MoveDescriptor("tailRemove", ("w",)))
+        attached = attach_plabic(scannable_to_planar(lissajous(3, 2)))
+        for q in [TAILED_THETA] + stripped + [loop, attached]:
+            assert_listing_agrees(q)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_listing_agrees_with_reference(self, data):
+        """On random fences of 2-4 strands and at most 8 letters, each
+        followed by up to 6 random legal moves, on their colour-swapped
+        graphs and on recolourings of the last graph that swap up to three
+        black-white pairs, the listing from the preconditions is the
+        build-and-validate listing it replaced; a recolouring that fails
+        ``validate`` is refused."""
+        k = data.draw(st.integers(2, 4))
+        letters = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from("st"), st.integers(1, k - 1)),
+                max_size=8 - (k - 1),
+            )
+        )
+        # a strand pair without a connector leaves the fence apart
+        letters += [("s", i) for i in range(1, k) if ("s", i) not in letters
+                    and ("t", i) not in letters]
+        try:
+            p = fence_of_word(FenceWord(k, tuple(letters)))
+        except DisconnectedFence:
+            return
+        graphs = [p]
+        for _ in range(data.draw(st.integers(0, 6))):
+            p = data.draw(st.sampled_from(list(_legal_moves(p))))[1]
+            graphs.append(p)
+        graphs += [_colours_swapped(q) for q in graphs]
+        verts = sorted(p.internal | p.leaves)
+        for _ in range(data.draw(st.integers(0, 3))):
+            b = data.draw(st.sampled_from(sorted(p.black)))
+            w = data.draw(st.sampled_from([v for v in verts if v not in p.black]))
+            p = replace(p, black=p.black - {b} | {w})
+            graphs.append(p)
+        for q in graphs:
+            if validate(q):
+                with pytest.raises(ValueError, match="invalid plabic graph"):
+                    enumerate_moves(q)
+            else:
+                assert_listing_agrees(q)
+
+
+def reference_legal_moves(p: PlabicGraph):
+    """The listing rule the preconditions replaced, kept as a reference:
+    build every candidate and keep those whose result passes ``validate``."""
+    for m, build in _candidates(p, None):
+        out = build(p, m)
+        if not validate(out):
+            yield m, out
+
+
+def assert_listing_agrees(p: PlabicGraph):
+    expected = list(reference_legal_moves(p))
+    assert enumerate_moves(p) == [m for m, _ in expected]
+    assert list(_legal_moves(p)) == expected
 
 
 class TestMoveEquivalence:
