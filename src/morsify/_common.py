@@ -28,9 +28,7 @@ class Budget:
     * ``mut-equiv`` (``mutation_equivalent``): one mutation looked up, also
       when its quiver was met before;
     * ``move-equiv`` (``move_equivalent``): one move looked up within the size
-      cap, also when its graph was met before;
-    * ``yb_as_moves``: one flip or square move looked up, as for
-      ``move-equiv``.
+      cap, also when its graph was met before.
     """
 
     max_states: int = 10**6

@@ -484,7 +484,9 @@ def scannable_to_planar(s: ScannableDivide) -> PlanarDivide:
 
 @dataclass(frozen=True)
 class SiteDescriptor:
-    """A triangular region together with the side to push."""
+    """A triangular region together with the side to push.  :func:`apply_yb`
+    never reads ``side``: the three sites of one triangle give the same
+    pushed divide."""
 
     region_nodes: tuple  # the three node ids
     side: frozenset  # the pushed 1-cell (an edge of the divide)

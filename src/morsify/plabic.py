@@ -16,7 +16,6 @@ triangle-push macro expressed as a move sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Optional
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
@@ -973,10 +972,6 @@ def link_of_oriented_plabic(p: PlabicGraph, o: Orientation):
 # ---------------------------------------------------------------------------
 # The triangle push expressed as flips and squares
 
-# the triangle-push search maps this many moves around its target
-BACK_DEPTH = 3
-
-
 def divide_of_attached(p: PlabicGraph) -> PlanarDivide:
     """Invert ``attach_plabic`` (graphs with the square-gadget naming)."""
     nodes: set = set()
@@ -1024,96 +1019,75 @@ def divide_of_attached(p: PlabicGraph) -> PlanarDivide:
     return d
 
 
-def _colours_swapped(p: PlabicGraph) -> PlabicGraph:
-    return replace(p, black=(p.internal | p.leaves) - p.black)
+# The triangle push as flips and squares at the triangle's three gadgets,
+# one recorded move sequence per template.  The code "rks" is slot s of the
+# corner n.((t + k) % 4), where (n, t) is dart r of the triangle's face walk.
+# "f" flips the edge of its two darts, in the colour the two corners have when
+# it is replayed, so a template serves both colourings of the gadgets; "s" is
+# the square move at the face of its four darts.  The first template was
+# recorded at site 3 of scannable(3, (), (1, 2, 1, 2), ()), the second at the
+# triangle of a divide with no node outside it.
+_PUSH_TEMPLATES = (
+    "s 022 012 002 032, f 030 200, f 000 130, s 032 132 100 231, f 221 232, "
+    "f 101 112, s 031 222 212 200, f 021 201, f 032 131, s 022 012 000 032, "
+    "f 001 121, s 031 122 102 130, f 021 032, f 221 131, s 032 222 212 200",
+    "s 002 032 022 012, f 000 130, f 030 200, s 032 132 100 231, f 221 232, "
+    "f 101 112, s 001 122 102 130, f 002 012, s 031 222 212 200, f 021 201, "
+    "s 002 131 030 022, f 031 221, f 132 102, s 032 102 111 230",
+)
 
 
-def yb_as_moves(
-    p: PlabicGraph, site: SiteDescriptor, budget: Budget = Budget()
-) -> list[MoveDescriptor]:
-    """A flip/square move sequence carrying ``p`` (a square-gadget graph of a
-    divide with a triangular region) to a gadget graph of the divide with
-    that triangle pushed through the opposite side.  :class:`SiteNotFound`
-    says whether the budget or the flip/square orbit ran out."""
+def _pushed_gadget_graph(p: PlabicGraph, site: SiteDescriptor) -> PlabicGraph:
+    """The gadget graph, with the tail colours of ``p``, of the divide of
+    ``p`` with the triangle at ``site`` pushed.  ``p`` must be the gadget
+    graph of its divide up to :func:`canonical_code` (strict), which does not
+    see a global colour swap."""
     d = divide_of_attached(p)
     if site not in yb_sites(d):
         raise SiteNotFound("the graph has no triangle gadget at this site")
     tails = {v: p.color(v) for v in p.leaves}
-    base = attach_plabic(d, tails)
-    target = attach_plabic(apply_yb(d, site), tails)
-    code_p = canonical_code(p, strict_boundary_colors=True)
-    swap = False
-    if code_p != canonical_code(base, strict_boundary_colors=True):
-        swapped = _colours_swapped(base)
-        if code_p == canonical_code(swapped, strict_boundary_colors=True):
-            swap = True
-        else:
-            raise SiteNotFound("the graph is not a square-gadget attachment")
-    if swap:
-        target = _colours_swapped(target)
-    # the push only rearranges the three gadget squares of the triangle
-    allowed = frozenset(f"{n}.{s}" for n in site.region_nodes for s in range(4))
-    path = _search_flip_square_path(p, target, budget, allowed)
-    if path is None:
-        raise SiteNotFound("no flip/square path found within budget")
-    return list(path)
+    if canonical_code(p, strict_boundary_colors=True) != canonical_code(
+        attach_plabic(d, tails), strict_boundary_colors=True
+    ):
+        raise SiteNotFound("the graph is not a square-gadget attachment")
+    return attach_plabic(apply_yb(d, site), tails)
 
 
-def _search_flip_square_path(p, target, budget, allowed):
-    """Flip and square moves at vertices named in ``allowed`` from ``p`` to
-    ``target``: a breadth-first search forward into the ``BACK_DEPTH``
-    neighbourhood of ``target``, then a greedy descent through it.  One
-    state per move looked up; None when the budget runs out, and
-    :class:`SiteNotFound` when the moves do."""
-
-    def neighbours(g):
-        for m, ng in _legal_moves(g, ("flipWhite", "flipBlack", "square")):
-            if {x[0] for x in m.site} <= allowed:
-                yield m, ng
-
-    def canon(g):
-        return canonical_code(g, strict_boundary_colors=True)
-
-    clock = budget.start()
-    ahead = Frontier(p, canon, neighbours)
-    behind = Frontier(target, canon, neighbours)
-    (start,) = ahead.seen
-    if start in behind.seen:
-        return ()
-    # distance-to-target map for the last few layers
-    while behind and len(behind.next_path()) < BACK_DEPTH:
-        for _ in behind.step():
-            if not clock.tick():
-                return None
-    back = {c: len(path) for c, path in behind.seen.items()}
-    # forward search until we enter the mapped region
-    path = () if start in back else None
-    while path is None and ahead:
-        for c, fpath, new in ahead.step():
-            if not clock.tick():
-                return None
-            if new and c in back:
-                path = fpath
-                break
-    if path is None:
-        raise SiteNotFound(
-            "no flip/square path: the orbit under the allowed moves is "
-            f"exhausted after {clock.states} states"
-        )
-    # descend the map greedily
-    g = reduce(apply_move, path, p)
-    dist = back[canon(g)]
-    while dist > 0:
-        for m, ng in neighbours(g):
-            if not clock.tick():
-                return None
-            c = canon(ng)
-            if back.get(c, dist) < dist:
-                g, dist, path = ng, back[c], path + (m,)
-                break
-        else:
-            raise SiteNotFound("no flip/square path: the descent to the target stalled")
-    return path
+def yb_as_moves(p: PlabicGraph, site: SiteDescriptor) -> list[MoveDescriptor]:
+    """A flip/square move sequence carrying ``p`` (a square-gadget graph of a
+    divide with a triangular region) to :func:`_pushed_gadget_graph`: the
+    first stored template whose replay, each move through
+    :func:`apply_move`, reaches it up to :func:`canonical_code` (strict).
+    The pushed divide does not depend on ``site.side``, so neither does the
+    answer.  Raises :class:`SiteNotFound` when no template reaches it."""
+    goal = canonical_code(_pushed_gadget_graph(p, site), strict_boundary_colors=True)
+    if canonical_code(p, strict_boundary_colors=True) == goal:
+        return []
+    corner = {
+        f"{r}{k}": f"{n}.{(t + k) % 4}"
+        for r, (n, t) in enumerate(site.darts)
+        for k in range(4)
+    }
+    for template in _PUSH_TEMPLATES:
+        g, moves = p, []
+        try:
+            for move in template.split(", "):
+                kind, *codes = move.split()
+                darts = [(corner[c[:2]], int(c[2])) for c in codes]
+                if kind == "f":
+                    kind = "flipBlack" if g.color(darts[0][0]) == "b" else "flipWhite"
+                else:  # a square move's site starts at its least dart
+                    kind, lo = "square", darts.index(min(darts))
+                    darts = darts[lo:] + darts[:lo]
+                moves.append(MoveDescriptor(kind, tuple(darts)))
+                g = apply_move(g, moves[-1])
+        except IllegalMove:
+            continue
+        if canonical_code(g, strict_boundary_colors=True) == goal:
+            return moves
+    raise SiteNotFound(
+        "no stored flip/square sequence carries the graph to the pushed gadget graph"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -334,13 +334,21 @@ class TestYangBaxter:
         assert any(b.edges == d.edges for b in back)
 
     def test_site_independence(self):
-        # all three sides of one triangle produce the same divide
+        # apply_yb never reads the side, so the three sites of one triangle
+        # produce the same divide
         d = self.divide_with_triangle()
         sites = yb_sites(d)
         tri = sites[0].region_nodes
         results = [apply_yb(d, s).edges for s in sites if s.region_nodes == tri]
         assert len(results) == 3
         assert results[0] == results[1] == results[2]
+        d = scannable_to_planar(lissajous(5, 5, 0))
+        sites = yb_sites(d)
+        by_triangle: dict = {}
+        for s in sites:
+            by_triangle.setdefault(s.darts, set()).add(apply_yb(d, s).edges)
+        assert len(sites) == 12 and len(by_triangle) == 4
+        assert all(len(pushed) == 1 for pushed in by_triangle.values())
 
 
 @given(

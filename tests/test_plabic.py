@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsify._common import Budget
 from morsify.braid import beta_of_fence_word
 from morsify.divide import (
     apply_yb,
@@ -33,7 +32,6 @@ from morsify.plabic import (
     SiteNotFound,
     _LETTERS,
     _candidates,
-    _colours_swapped,
     _in_degree,
     _is_admissible,
     _legal_moves,
@@ -77,6 +75,11 @@ def fence(*letters, k=None):
 
 
 S1, S2, T1, T2 = ("s", 1), ("s", 2), ("t", 1), ("t", 2)
+
+
+def _colours_swapped(p):
+    return replace(p, black=(p.internal | p.leaves) - p.black)
+
 
 # a graph on which no admissible orientation exists even though the colors
 # are balanced: a bicolored square with a doubled side
@@ -1043,7 +1046,7 @@ class TestTrianglePush:
         site = yb_sites(d)[0]
         p = attach_plabic(d)
         macro = yb_as_moves(p, site)
-        assert macro
+        assert len(macro) == 14
         allowed = {f"{n}.{s}" for n in site.region_nodes for s in range(4)}
         for m in macro:
             assert {x[0] for x in m.site} <= allowed
@@ -1058,16 +1061,15 @@ class TestTrianglePush:
         site = yb_sites(d)[0]
         assert yb_as_moves(attach_plabic(d), site) == []
 
-    def test_orbit_exhaustion_and_spent_budget_differ(self):
-        # on three of the six sites the flip/square moves about the triangle
-        # reach 576 states, none near the target; the other three push the
-        # triangle in 15 moves
+    def test_stored_push_at_six_sites(self):
+        # on the three sites of one triangle no stored template reaches the
+        # pushed gadget graph; the three of the other push it in 15 moves
         d = scannable_to_planar(scannable(3, (), (1, 2, 1, 2), ()))
         p = attach_plabic(d)
         outcomes = []
         for site in yb_sites(d):
             try:
-                macro = yb_as_moves(p, site, Budget(40000, 600))
+                macro = yb_as_moves(p, site)
             except SiteNotFound as e:
                 outcomes.append(str(e))
                 continue
@@ -1076,13 +1078,36 @@ class TestTrianglePush:
                 g = apply_move(g, m)
             assert canonical_code(g) == canonical_code(attach_plabic(apply_yb(d, site)))
             outcomes.append(len(macro))
-        exhausted = (
-            "no flip/square path: the orbit under the allowed moves is "
-            "exhausted after 576 states"
+        unreached = (
+            "no stored flip/square sequence carries the graph to the pushed "
+            "gadget graph"
         )
-        assert outcomes == [exhausted] * 3 + [15] * 3
-        with pytest.raises(SiteNotFound, match="^no flip/square path found within budget$"):
-            yb_as_moves(p, yb_sites(d)[0], Budget(100, 600))
+        assert outcomes == [unreached] * 3 + [15] * 3
+
+    def test_squares_of_the_push_are_mutations(self):
+        # the flips of the push keep the quiver; each square move mutates it
+        # at its face (arrow for arrow, as in P9), so the pushed graph's
+        # quiver is a mutation of the start's
+        d = scannable_to_planar(lissajous(4, 3, 1))
+        site = yb_sites(d)[0]
+        p = attach_plabic(d)
+        g, squares = p, 0
+        for m in yb_as_moves(p, site):
+            ng = apply_move(g, m)
+            q, nq = quiver_of_plabic(g), quiver_of_plabic(ng)
+            if m.kind == "square":
+                squares += 1
+                starts = [(f, f.index(min(f))) for f in faces(g)[0]]
+                rotated = [f[lo:] + f[:lo] for f, lo in starts]
+                got = mutate(q, rotated.index(m.site))
+                assert sorted(got.arrows()) == sorted(nq.arrows())
+            else:
+                assert is_isomorphic(q, nq)
+            g = ng
+        assert squares == 6
+        target = quiver_of_plabic(attach_plabic(apply_yb(d, site)))
+        assert is_isomorphic(quiver_of_plabic(g), target)
+        assert not is_isomorphic(quiver_of_plabic(p), target)
 
     def test_wrong_site_rejected(self):
         d = parse_planar_divide(TRIANGLE_ARC)

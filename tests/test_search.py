@@ -1,4 +1,6 @@
-"""The search frontier and the five equivalence searches built on it.
+"""The search frontier and the searches built on it: the four equivalence
+searches of the package and, kept here as a test oracle, the flip/square path
+search that the stored triangle-push templates were recorded from.
 
 Each search runs one fixed input under a budget that keeps its clocks.  The
 verdict, the witness and the states charged are pinned, and so is the rule
@@ -11,6 +13,8 @@ each search gives up.  Every witness is replayed.
 from dataclasses import dataclass, field
 from functools import reduce
 
+import pytest
+
 from morsify._common import Budget, Equivalent, Unknown
 from morsify._search import Frontier
 from morsify.accept import FOUR_FORMS
@@ -21,12 +25,74 @@ from morsify.braid import (
     solid_torus_isotopic,
     word,
 )
+from morsify.divide import scannable, scannable_to_planar, yb_sites
 from morsify.plabic import MoveDescriptor as Move
-from morsify.plabic import _search_flip_square_path, apply_move, canonical_code
-from morsify.plabic import move_equivalent
+from morsify.plabic import SiteNotFound, _legal_moves, _pushed_gadget_graph
+from morsify.plabic import apply_move, attach_plabic, canonical_code
+from morsify.plabic import move_equivalent, yb_as_moves
 from morsify.quiver import is_isomorphic, mutate_seq, mutation_equivalent
 
-from test_plabic import S1, S2, T1, fence
+from test_plabic import S1, S2, T1, _colours_swapped, fence
+
+# the triangle-push search maps this many moves around its target
+BACK_DEPTH = 3
+
+
+def _search_flip_square_path(p, target, budget, allowed):
+    """Flip and square moves at vertices named in ``allowed`` from ``p`` to
+    ``target``: a breadth-first search forward into the ``BACK_DEPTH``
+    neighbourhood of ``target``, then a greedy descent through it.  One
+    state per move looked up; None when the budget runs out, and
+    :class:`SiteNotFound` when the moves do."""
+
+    def neighbours(g):
+        for m, ng in _legal_moves(g, ("flipWhite", "flipBlack", "square")):
+            if {x[0] for x in m.site} <= allowed:
+                yield m, ng
+
+    def canon(g):
+        return canonical_code(g, strict_boundary_colors=True)
+
+    clock = budget.start()
+    ahead = Frontier(p, canon, neighbours)
+    behind = Frontier(target, canon, neighbours)
+    (start,) = ahead.seen
+    if start in behind.seen:
+        return ()
+    # distance-to-target map for the last few layers
+    while behind and len(behind.next_path()) < BACK_DEPTH:
+        for _ in behind.step():
+            if not clock.tick():
+                return None
+    back = {c: len(path) for c, path in behind.seen.items()}
+    # forward search until we enter the mapped region
+    path = () if start in back else None
+    while path is None and ahead:
+        for c, fpath, new in ahead.step():
+            if not clock.tick():
+                return None
+            if new and c in back:
+                path = fpath
+                break
+    if path is None:
+        raise SiteNotFound(
+            "no flip/square path: the orbit under the allowed moves is "
+            f"exhausted after {clock.states} states"
+        )
+    # descend the map greedily
+    g = reduce(apply_move, path, p)
+    dist = back[canon(g)]
+    while dist > 0:
+        for m, ng in neighbours(g):
+            if not clock.tick():
+                return None
+            c = canon(ng)
+            if back.get(c, dist) < dist:
+                g, dist, path = ng, back[c], path + (m,)
+                break
+        else:
+            raise SiteNotFound("no flip/square path: the descent to the target stalled")
+    return path
 
 
 @dataclass(frozen=True)
@@ -142,3 +208,37 @@ class TestPinnedSearches:
         assert canonical_code(reduce(apply_move, found, p)) == canonical_code(target)
         assert _search_flip_square_path(p, target, _short(37), allowed) is None
 
+
+class TestTrianglePushOracle:
+    """The flip/square path search the stored triangle-push templates were
+    recorded from.  ``yb_as_moves`` must succeed exactly where it does."""
+
+    S1212 = scannable_to_planar(scannable(3, (), (1, 2, 1, 2), ()))
+
+    # one site of each triangle, plain and colour-swapped, with the length of
+    # the path the search finds (None: it finds none)
+    @pytest.mark.parametrize(
+        "site_index, swap, length",
+        [(0, False, None), (0, True, 15), (3, False, 15), (3, True, None)],
+    )
+    def test_templates_succeed_where_the_search_does(self, site_index, swap, length):
+        site = yb_sites(self.S1212)[site_index]
+        p = attach_plabic(self.S1212)
+        if swap:
+            p = _colours_swapped(p)
+        target = _pushed_gadget_graph(p, site)
+        allowed = frozenset(f"{n}.{s}" for n in site.region_nodes for s in range(4))
+        try:
+            path = _search_flip_square_path(p, target, Budget(), allowed)
+        except SiteNotFound:
+            path = None
+        try:
+            macro = yb_as_moves(p, site)
+        except SiteNotFound:
+            macro = None
+        lengths = [None if x is None else len(x) for x in (path, macro)]
+        assert lengths == [length, length]
+        if macro is not None:
+            assert canonical_code(
+                reduce(apply_move, macro, p), strict_boundary_colors=True
+            ) == canonical_code(target, strict_boundary_colors=True)
