@@ -3,9 +3,11 @@
 One verb per pipeline; inputs are sniffed by extension (``.pdv`` planar
 divide, ``.sdv`` scannable divide, ``.qvr`` quiver, ``.plb`` plabic graph,
 anything else a link diagram), and braid words may be given inline as
-``"k : i j ..."``.  Searches share the ``--states``/``--seconds``/``--depth``
-budget flags.  Exit codes: 0 for any verdict (including Unknown), 1 for
-computation errors, 2 for usage errors.
+``"k : i j ..."``.  The searches (``isotopy``, ``mut-equiv``, ``move-equiv``)
+take the ``--states``/``--seconds`` budget flags, ``move-equiv`` also
+``--depth``; the verbs with a machine-readable output take ``--format``.
+Exit codes: 0 for any verdict (including Unknown), 1 for computation errors,
+2 for usage errors.
 """
 
 from __future__ import annotations
@@ -330,17 +332,16 @@ def _cmd_accept(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--states", type=int, default=10**6,
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--states", type=int, default=10**6,
                         help="search state budget (default 1000000); one state "
                         "is a new normal form for isotopy, a mutation looked "
                         "up for mut-equiv, a move looked up for move-equiv")
-    common.add_argument("--seconds", type=float, default=300.0,
+    budget.add_argument("--seconds", type=float, default=300.0,
                         help="search time budget in seconds (default 300)")
-    common.add_argument("--depth", type=int, default=2,
-                        help="size slack for move searches (default 2)")
-    common.add_argument("--format", choices=("plain", "machine"),
-                        default="plain", help="output style")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("plain", "machine"),
+                     default="plain", help="output style")
 
     parser = argparse.ArgumentParser(
         prog="morsify",
@@ -348,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name, fn, help_):
-        p = sub.add_parser(name, parents=[common], help=help_)
+    def verb(name, fn, help_, *flags):
+        p = sub.add_parser(name, parents=list(flags), help=help_)
         p.set_defaults(fn=fn)
         return p
 
     verb("validate", _cmd_validate,
-         "check a divide or plabic graph file").add_argument("file")
+         "check a divide or plabic graph file", fmt).add_argument("file")
     verb("regions", _cmd_regions,
          "list regions and cell counts of a divide").add_argument("file")
     verb("quiver", _cmd_quiver,
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("mutate", _cmd_mutate, "mutate a quiver at a vertex sequence")
     p.add_argument("file")
     p.add_argument("vertices", type=int, nargs="+")
-    p = verb("mut-equiv", _cmd_mut_equiv, "decide mutation equivalence")
+    p = verb("mut-equiv", _cmd_mut_equiv, "decide mutation equivalence", budget, fmt)
     p.add_argument("q1")
     p.add_argument("q2")
     verb("attach", _cmd_attach,
@@ -371,16 +372,19 @@ def build_parser() -> argparse.ArgumentParser:
          "the plabic fence of a scannable divide").add_argument("file")
     verb("moves", _cmd_moves,
          "list legal local moves of a plabic graph").add_argument("file")
-    p = verb("move-equiv", _cmd_move_equiv, "decide move equivalence")
+    p = verb("move-equiv", _cmd_move_equiv, "decide move equivalence", budget, fmt)
     p.add_argument("p1")
     p.add_argument("p2")
+    p.add_argument("--depth", type=int, default=2,
+                   help="size slack for move searches (default 2)")
     verb("braid", _cmd_braid,
          "the braid word of a scannable divide").add_argument("file")
     verb("nf", _cmd_nf,
          "Garside left normal form of a braid word").add_argument("word")
     verb("delta-div", _cmd_delta_div,
          "maximal half-twist power dividing a braid word").add_argument("word")
-    p = verb("isotopy", _cmd_isotopy, "decide isotopy of closed positive braids")
+    p = verb("isotopy", _cmd_isotopy, "decide isotopy of closed positive braids",
+             budget, fmt)
     p.add_argument("w1")
     p.add_argument("w2")
     p.add_argument("--solid-torus", action="store_true",
@@ -395,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     verb("jones", _cmd_jones,
          "Jones polynomial of a braid word, diagram, or plabic graph"
          ).add_argument("input")
-    p = verb("fingerprint", _cmd_fingerprint, "link invariant fingerprint")
+    p = verb("fingerprint", _cmd_fingerprint, "link invariant fingerprint", fmt)
     p.add_argument("input")
     p.add_argument("--jones", action="store_true", help="include Jones")
     p = verb("yb", _cmd_yb, "list or apply triangle-push sites of a divide")
@@ -412,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("klein", _cmd_klein, "reflect a scannable divide")
     p.add_argument("file")
     p.add_argument("element", choices=("id", "flipH", "flipV", "rot180"))
-    verb("accept", _cmd_accept, "run the acceptance suite")
+    verb("accept", _cmd_accept, "run the acceptance suite", fmt)
 
     return parser
 

@@ -14,7 +14,6 @@ a word of crossing events.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Iterable, NamedTuple, Optional
@@ -106,24 +105,10 @@ class ValidationReport:
         return not self.violations
 
 
-def faces(d: PlanarDivide):
-    """All faces of the closed map, with the outer face identified.
-
-    Returns ``(face_list, outer_index, arc_darts)``.
-    """
-    cm = d.closed_map()
-    fs = cm.faces()
-    if d.boundary_order:
-        outer = next((i for i, f in enumerate(fs) if cm.arc_darts.issuperset(f)), None)
-    else:
-        outer = next((i for i, f in enumerate(fs) if d.outer_dart in f), None)
-    return fs, outer, cm.arc_darts
-
-
 def regions(d: PlanarDivide) -> list[Region]:
     """Faces not incident to the disk boundary, in deterministic order."""
-    fs, _, arc_darts = faces(d)
-    return _regions(d, fs, arc_darts)
+    cm = d.closed_map()
+    return _regions(d, cm.faces(), cm.arc_darts)
 
 
 def _regions(d: PlanarDivide, fs: list, arc_darts: set) -> list[Region]:
@@ -147,43 +132,29 @@ def branches(d: PlanarDivide) -> list[Branch]:
     """The immersed curves: trace strands straight through every node."""
     twin = d.twin()
     used: set = set()  # darts already consumed by some strand
-    out: list[Branch] = []
-    for e in sorted(d.endpoints):
-        start = (e, 0)
-        if start in used:
-            continue
+
+    def trace(start, kind):
         seq = []
         cur = start
         while True:
-            used.add(cur)
             nxt = twin[cur]
-            used.add(nxt)
+            used.update((cur, nxt))
             seq.append(frozenset({cur, nxt}))
             v, s = nxt
             if v in d.endpoints:
                 break
             cur = (v, (s + 2) % 4)
-            if len(seq) > len(d.edges):
-                raise ValueError("strand tracing ran away")
-        out.append(Branch("interval", tuple(seq)))
-    for edge in sorted(d.edges, key=sorted):
-        a, _ = sorted(edge)
-        if a in used:
-            continue
-        seq = []
-        cur = a
-        while True:
-            used.add(cur)
-            nxt = twin[cur]
-            used.add(nxt)
-            seq.append(frozenset({cur, nxt}))
-            v, s = nxt
-            cur = (v, (s + 2) % 4)
-            if cur == a:
+            if cur == start:
                 break
             if len(seq) > len(d.edges):
                 raise ValueError("strand tracing ran away")
-        out.append(Branch("circle", tuple(seq)))
+        return Branch(kind, tuple(seq))
+
+    # each strand is traced once, from its first dart not yet used
+    out = [trace((e, 0), "interval")
+           for e in sorted(d.endpoints) if (e, 0) not in used]
+    out += [trace(min(e), "circle")
+            for e in sorted(d.edges, key=sorted) if min(e) not in used]
     out.extend(Branch("circle", ()) for _ in range(d.bare_circles))
     return out
 
@@ -362,107 +333,60 @@ def scannable_to_planar(s: ScannableDivide) -> PlanarDivide:
     Each event becomes a node named ``n<index>``; node slots are
     0 = lower-west, 1 = lower-east, 2 = upper-east, 3 = upper-west, so that
     slot pairs {0,2} and {1,3} are the two strands through the crossing.
+    A strand end ``(side, level)`` meets the crossing zone at the first or
+    last dart of its level; outward it turns to its U-turn partner or ends
+    on the disk boundary at leaf ``e<side><level>``.
     """
-    passages: dict[int, list] = {lvl: [] for lvl in range(1, s.k + 1)}
+    levels = range(1, s.k + 1)
+    passages: dict[int, list] = {lvl: [] for lvl in levels}
     for m, a in enumerate(s.events):
         nid = f"n{m}"
         passages[a].append(((nid, 0), (nid, 1)))  # lower strand: west, east darts
         passages[a + 1].append(((nid, 3), (nid, 2)))  # upper strand
-    edges: list = []
-    for lvl in range(1, s.k + 1):
-        ps = passages[lvl]
-        for (w1, e1), (w2, e2) in zip(ps, ps[1:]):
-            edges.append(frozenset({e1, w2}))
-    # wire up terminals through U-turns and crossing-free levels
-    conn = defaultdict(list)
-    for i in s.left_turns:
-        conn[("L", i)].append(("L", i + 1))
-        conn[("L", i + 1)].append(("L", i))
-    for i in s.right_turns:
-        conn[("R", i)].append(("R", i + 1))
-        conn[("R", i + 1)].append(("R", i))
-    for lvl in range(1, s.k + 1):
-        if not passages[lvl]:
-            conn[("L", lvl)].append(("R", lvl))
-            conn[("R", lvl)].append(("L", lvl))
+    edges = {
+        frozenset({e1, w2})
+        for ps in passages.values()
+        for (_, e1), (w2, _) in zip(ps, ps[1:])
+    }
+    partner: dict = {}
+    for side, turns in (("L", s.left_turns), ("R", s.right_turns)):
+        for i in turns:
+            partner[side, i], partner[side, i + 1] = i + 1, i
+    leaves: set = set()
 
-    def concrete(tok):
-        side, lvl = tok
-        ps = passages[lvl]
-        if not ps:
-            return None
-        return ps[0][0] if side == "L" else ps[-1][1]
+    def end_dart(side, lvl):
+        return passages[lvl][0][0] if side == "L" else passages[lvl][-1][1]
 
-    endpoints: list = []
-    bare = 0
-    visited: set = set()
-    all_tokens = [("L", lvl) for lvl in range(1, s.k + 1)] + [
-        ("R", lvl) for lvl in range(1, s.k + 1)
-    ]
+    def outward(side, lvl):
+        """The dart that the strand leaving end ``(side, lvl)`` outward meets
+        first: a node's, after U-turns and runs across node-free levels, or
+        a boundary leaf's."""
+        while (side, lvl) in partner:
+            lvl = partner[side, lvl]
+            if passages[lvl]:
+                return end_dart(side, lvl)
+            side = "R" if side == "L" else "L"
+        leaves.add((side, lvl))
+        return (f"e{side}{lvl}", 0)
 
-    def endpoint_dart(tok):
-        side, lvl = tok
-        eid = f"e{side}{lvl}"
-        endpoints.append((tok, eid))
-        return (eid, 0)
-
-    # Strand-end paths alternate wires (turns, crossing-free levels) and stop
-    # at a concrete dart (the strand enters the crossing zone there) or at a
-    # loose end (which becomes a boundary endpoint).
-    for tok in all_tokens:
-        if tok in visited:
-            continue
-        if concrete(tok) is None and len(conn[tok]) >= 2:
-            continue  # interior wire token of a path or cycle
-        visited.add(tok)
-        path = [tok]
-        if concrete(tok) is None or conn[tok]:
-            prev = None
-            cur = tok
-            while True:
-                nxts = [x for x in conn[cur] if x != prev]
-                if not nxts:
-                    break
-                prev, cur = cur, nxts[0]
-                visited.add(cur)
-                path.append(cur)
-                if concrete(cur) is not None:
-                    break
-        a = concrete(path[0])
-        if a is None:
-            a = endpoint_dart(path[0])
-        if len(path) == 1:
-            b = endpoint_dart(path[0]) if concrete(path[0]) is not None else None
-        else:
-            b = concrete(path[-1])
-            if b is None:
-                b = endpoint_dart(path[-1])
-        if b is None:
-            raise AssertionError("degenerate strand end")
-        edges.append(frozenset({a, b}))
-    # cycles made entirely of wires = crossing-free circles
-    for tok in all_tokens:
-        if tok in visited or concrete(tok) is not None:
-            continue
-        visited.add(tok)
-        prev, cur = tok, conn[tok][0]
-        while cur != tok:
-            visited.add(cur)
-            nxts = [x for x in conn[cur] if x != prev]
-            prev, cur = cur, nxts[0]
-        bare += 1
-    # the concrete terminals with no connections become endpoints, handled
-    # above; now the boundary order: right side bottom-up, left side top-down
-    ep_by_tok = dict(endpoints)
-    border = []
-    for lvl in range(1, s.k + 1):
-        tok = ("R", lvl)
-        if tok in ep_by_tok:
-            border.append(ep_by_tok[tok])
-    for lvl in range(s.k, 0, -1):
-        tok = ("L", lvl)
-        if tok in ep_by_tok:
-            border.append(ep_by_tok[tok])
+    # Every strand piece outside the crossing zone is found from both of its
+    # ends; the edge set keeps one copy.
+    for side, other in (("L", "R"), ("R", "L")):
+        for lvl in levels:
+            if passages[lvl]:
+                edges.add(frozenset({end_dart(side, lvl), outward(side, lvl)}))
+            elif (side, lvl) not in partner:  # a loose end of a node-free level
+                edges.add(frozenset({outward(side, lvl), outward(other, lvl)}))
+    # A piece with neither a dart nor a loose end is a crossing-free circle.
+    # Its lowest level can only turn up on both sides, so it is two node-free
+    # levels closed by U-turns at both sides.
+    bare = sum(
+        not passages[i] and not passages[i + 1]
+        for i in s.left_turns & s.right_turns
+    )
+    # boundary order: right side bottom-up, left side top-down
+    border = [f"eR{lvl}" for lvl in levels if ("R", lvl) in leaves]
+    border += [f"eL{lvl}" for lvl in reversed(levels) if ("L", lvl) in leaves]
     nodes = frozenset(f"n{m}" for m in range(len(s.events)))
     outer = None
     if not border and s.events:
@@ -471,10 +395,10 @@ def scannable_to_planar(s: ScannableDivide) -> PlanarDivide:
         # the leftmost node on the lowest busy level -- which borders the
         # unbounded face below the bottom strand -- is the face of that
         # node's lower-east dart.
-        low = min(lvl for lvl in passages if passages[lvl])
+        low = min(lvl for lvl in levels if passages[lvl])
         outer = passages[low][0][1]
     return PlanarDivide(
-        nodes, frozenset(ep_by_tok.values()), frozenset(edges), tuple(border), bare, outer
+        nodes, frozenset(border), frozenset(edges), tuple(border), bare, outer
     )
 
 

@@ -23,7 +23,6 @@ from ._common import UnionFind, line_error, read_directives
 from ._maps import check_map, closed_map, format_map, map_darts, parse_dart
 from ._maps import split_faces, twin_map, two_colouring
 from .divide import PlanarDivide, ScannableDivide, SiteDescriptor
-from .divide import faces as divide_faces
 from .divide import validate as divide_validate
 from .divide import apply_yb, yb_sites
 from .quiver import Quiver, quick_invariants, quiver_from_arrows
@@ -396,17 +395,13 @@ def _legal_moves(p: PlabicGraph, kinds=None):
 def apply_move(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
     """The graph after ``m``, which must be a move :func:`enumerate_moves`
     lists (a flip names an edge, so its two darts may come in either order);
-    raises ``IllegalMove`` otherwise."""
+    raises ``IllegalMove`` otherwise, and ``ValueError`` when ``p`` fails
+    :func:`validate`."""
+    _require_valid(p)
     flip = m.kind in ("flipWhite", "flipBlack")
     for c, build in _candidates(p, (m.kind,)):
         if c.site == m.site or (flip and c.site[::-1] == m.site):
-            out = build(p, c)
-            problems = validate(out)
-            if problems:
-                raise IllegalMove(
-                    f"move result is not a valid plabic graph: {problems[0]}"
-                )
-            return out
+            return build(p, c)
     raise IllegalMove(f"no legal {m.kind} move at {m.site}")
 
 
@@ -486,7 +481,6 @@ def move_equivalent(
     p1: PlabicGraph,
     p2: PlabicGraph,
     budget: Budget = Budget(),
-    strict_boundary_colors: bool = False,
     size_slack: int = 2,
 ) -> Verdict:
     """Search for a move sequence taking ``p1`` to (the embedded isomorphism
@@ -510,13 +504,6 @@ def move_equivalent(
         return DistinctByInvariant(
             f"quiver mutation invariants differ: {i1} != {i2}"
         )
-    if strict_boundary_colors:
-        d1 = abs(len(p1.black) - (len(p1.internal | p1.leaves) - len(p1.black)))
-        d2 = abs(len(p2.black) - (len(p2.internal | p2.leaves) - len(p2.black)))
-        if d1 != d2:
-            return DistinctByInvariant(
-                f"black-minus-white counts differ: {d1} != {d2}"
-            )
     cap_i = max(len(p1.internal), len(p2.internal)) + size_slack
     cap_l = max(len(p1.leaves), len(p2.leaves)) + size_slack
 
@@ -525,11 +512,8 @@ def move_equivalent(
             if len(np.internal) <= cap_i and len(np.leaves) <= cap_l:
                 yield m, np
 
-    def code(p):
-        return canonical_code(p, strict_boundary_colors)
-
-    front = Frontier(p1, code, neighbours)
-    goal = code(p2)
+    front = Frontier(p1, canonical_code, neighbours)
+    goal = canonical_code(p2)
     if goal in front.seen:
         return Equivalent(())
     clock = budget.start()
@@ -706,9 +690,10 @@ def fence_of_divide(s: ScannableDivide) -> PlabicGraph:
 def _face_signs(d: PlanarDivide):
     """Two-color all faces of the divide's closed map (checkerboard), aligned
     with the region sign normalization: region 0 receives '+'."""
-    fs, _, arc_darts = divide_faces(d)
+    cm = d.closed_map()
+    fs = cm.faces()
     dart_face = {x: i for i, f in enumerate(fs) for x in f}
-    regions, _ = split_faces(fs, arc_darts, d.outer_dart)
+    regions, _ = split_faces(fs, cm.arc_darts, d.outer_dart)
     anchor = dart_face[regions[0][0]] if regions else 0
     colours = two_colouring(
         len(fs),
@@ -898,7 +883,7 @@ def transport_orientation(
     _require_valid(p)
     if not _is_admissible(p, o.heads):
         raise ValueError("the given orientation is not admissible for p")
-    # the moved graph was validated by apply_move
+    # every move enumerate_moves lists takes a valid graph to a valid one
     out = _solve_orientation(apply_move(p, m))
     if out is None:
         raise IllegalMove("the move does not preserve orientability")

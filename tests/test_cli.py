@@ -154,7 +154,7 @@ class TestPlabicVerbs:
         f.write_text(out)
         code, out2, _ = run(capsys, "moves", str(f))
         assert code == 0 and out2.strip()
-        code, out3, _ = run(capsys, "move-equiv", str(f), str(f))
+        code, out3, _ = run(capsys, "move-equiv", str(f), str(f), "--depth", "0")
         assert code == 0 and out3.startswith("EQUIVALENT")
 
     def test_orient(self, capsys, sdv, tmp_path):
@@ -246,6 +246,11 @@ class TestBraidAndLinkVerbs:
         assert lines[1].startswith("alexander:")
         assert lines[2].startswith("jones:")
 
+    def test_fingerprint_machine(self, capsys):
+        code, out, _ = run(capsys, "fingerprint", "2 : 1 1", "--format", "machine")
+        assert code == 0
+        assert out.splitlines() == ["RESULT components 2", "ALEXANDER -1*t^0 + 1*t^1"]
+
     def test_diagram_file_input(self, capsys, tmp_path, sdv):
         code, out, _ = run(capsys, "fence", sdv)
         p = tmp_path / "p.plb"
@@ -262,6 +267,20 @@ class TestErrors:
     def test_usage_error(self, capsys):
         assert run(capsys, "no-such-verb")[0] == 2
         assert run(capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nf", "3 : 1 2 1", "--states", "5"],
+            ["alex", "2 : 1 1 1", "--seconds", "1"],
+            ["braid", "x.sdv", "--format", "machine"],
+            ["isotopy", "2 : 1", "2 : 1", "--depth", "1"],
+        ],
+    )
+    def test_flag_on_a_verb_that_does_not_read_it(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "braid", "/no/such/file.sdv")

@@ -1,11 +1,15 @@
 """Planar and scannable divides: validation, regions, branches, generators."""
 
+from collections import defaultdict
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsify.divide import (
     DivideParseError,
+    Branch,
     PlanarDivide,
     apply_yb,
     branches,
@@ -370,3 +374,205 @@ def test_random_scannables_validate(k, raw, lt, rt):
     assert all(code == "D5" for code, _ in rep.violations), rep.violations
     n, r, t = cell_count(d)
     assert n == len(events)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the token-graph scannable_to_planar and the
+# two-loop branches that the strand walk and trace() replaced, kept to check
+# that the rewrite gives the same divides and branches.
+
+
+def reference_scannable_to_planar(s) -> PlanarDivide:
+    passages: dict[int, list] = {lvl: [] for lvl in range(1, s.k + 1)}
+    for m, a in enumerate(s.events):
+        nid = f"n{m}"
+        passages[a].append(((nid, 0), (nid, 1)))
+        passages[a + 1].append(((nid, 3), (nid, 2)))
+    edges: list = []
+    for lvl in range(1, s.k + 1):
+        ps = passages[lvl]
+        for (w1, e1), (w2, e2) in zip(ps, ps[1:]):
+            edges.append(frozenset({e1, w2}))
+    conn = defaultdict(list)
+    for i in s.left_turns:
+        conn[("L", i)].append(("L", i + 1))
+        conn[("L", i + 1)].append(("L", i))
+    for i in s.right_turns:
+        conn[("R", i)].append(("R", i + 1))
+        conn[("R", i + 1)].append(("R", i))
+    for lvl in range(1, s.k + 1):
+        if not passages[lvl]:
+            conn[("L", lvl)].append(("R", lvl))
+            conn[("R", lvl)].append(("L", lvl))
+
+    def concrete(tok):
+        side, lvl = tok
+        ps = passages[lvl]
+        if not ps:
+            return None
+        return ps[0][0] if side == "L" else ps[-1][1]
+
+    endpoints: list = []
+    bare = 0
+    visited: set = set()
+    all_tokens = [("L", lvl) for lvl in range(1, s.k + 1)] + [
+        ("R", lvl) for lvl in range(1, s.k + 1)
+    ]
+
+    def endpoint_dart(tok):
+        side, lvl = tok
+        eid = f"e{side}{lvl}"
+        endpoints.append((tok, eid))
+        return (eid, 0)
+
+    for tok in all_tokens:
+        if tok in visited:
+            continue
+        if concrete(tok) is None and len(conn[tok]) >= 2:
+            continue
+        visited.add(tok)
+        path = [tok]
+        if concrete(tok) is None or conn[tok]:
+            prev = None
+            cur = tok
+            while True:
+                nxts = [x for x in conn[cur] if x != prev]
+                if not nxts:
+                    break
+                prev, cur = cur, nxts[0]
+                visited.add(cur)
+                path.append(cur)
+                if concrete(cur) is not None:
+                    break
+        a = concrete(path[0])
+        if a is None:
+            a = endpoint_dart(path[0])
+        if len(path) == 1:
+            b = endpoint_dart(path[0]) if concrete(path[0]) is not None else None
+        else:
+            b = concrete(path[-1])
+            if b is None:
+                b = endpoint_dart(path[-1])
+        if b is None:
+            raise AssertionError("degenerate strand end")
+        edges.append(frozenset({a, b}))
+    for tok in all_tokens:
+        if tok in visited or concrete(tok) is not None:
+            continue
+        visited.add(tok)
+        prev, cur = tok, conn[tok][0]
+        while cur != tok:
+            visited.add(cur)
+            nxts = [x for x in conn[cur] if x != prev]
+            prev, cur = cur, nxts[0]
+        bare += 1
+    ep_by_tok = dict(endpoints)
+    border = []
+    for lvl in range(1, s.k + 1):
+        tok = ("R", lvl)
+        if tok in ep_by_tok:
+            border.append(ep_by_tok[tok])
+    for lvl in range(s.k, 0, -1):
+        tok = ("L", lvl)
+        if tok in ep_by_tok:
+            border.append(ep_by_tok[tok])
+    nodes = frozenset(f"n{m}" for m in range(len(s.events)))
+    outer = None
+    if not border and s.events:
+        low = min(lvl for lvl in passages if passages[lvl])
+        outer = passages[low][0][1]
+    return PlanarDivide(
+        nodes, frozenset(ep_by_tok.values()), frozenset(edges), tuple(border), bare, outer
+    )
+
+
+def reference_branches(d: PlanarDivide) -> list:
+    twin = d.twin()
+    used: set = set()
+    out: list = []
+    for e in sorted(d.endpoints):
+        start = (e, 0)
+        if start in used:
+            continue
+        seq = []
+        cur = start
+        while True:
+            used.add(cur)
+            nxt = twin[cur]
+            used.add(nxt)
+            seq.append(frozenset({cur, nxt}))
+            v, s = nxt
+            if v in d.endpoints:
+                break
+            cur = (v, (s + 2) % 4)
+            if len(seq) > len(d.edges):
+                raise ValueError("strand tracing ran away")
+        out.append(Branch("interval", tuple(seq)))
+    for edge in sorted(d.edges, key=sorted):
+        a, _ = sorted(edge)
+        if a in used:
+            continue
+        seq = []
+        cur = a
+        while True:
+            used.add(cur)
+            nxt = twin[cur]
+            used.add(nxt)
+            seq.append(frozenset({cur, nxt}))
+            v, s = nxt
+            cur = (v, (s + 2) % 4)
+            if cur == a:
+                break
+            if len(seq) > len(d.edges):
+                raise ValueError("strand tracing ran away")
+        out.append(Branch("circle", tuple(seq)))
+    out.extend(Branch("circle", ()) for _ in range(d.bare_circles))
+    return out
+
+
+def _turn_sets(k: int) -> list:
+    """Every set of pairwise non-adjacent U-turn indices in 1..k-1."""
+    sets = [frozenset()]
+    for i in range(1, k):
+        sets += [t | {i} for t in sets if i - 1 not in t]
+    return sets
+
+
+def _small_scannables():
+    """Every scannable divide on 2-5 strands, with all U-turn sets on both
+    sides and every event word of up to 6, 5, 4, 3 letters."""
+    for k, longest in ((2, 6), (3, 5), (4, 4), (5, 3)):
+        words = [w for n in range(longest + 1) for w in product(range(1, k), repeat=n)]
+        turns = _turn_sets(k)
+        for left, right, w in product(turns, turns, words):
+            yield scannable(k, left, w, right)
+
+
+def _lissajous_and_klein_images():
+    for a in range(2, 13):
+        for b in range(2, a + 1):
+            for parity in (0, 1):
+                s = lissajous(a, b, parity)
+                for g in ("id", "flipH", "flipV", "rot180"):
+                    yield klein_act(s, g)
+
+
+def test_strand_walk_matches_the_reference():
+    """The strand walk and the merged branch trace give exactly the divides
+    and branches of the reference code (node and leaf names, boundary order,
+    bare circles, outer dart)."""
+    small = list(_small_scannables())
+    checkerboards = list(_lissajous_and_klein_images())
+    assert (len(small), len(checkerboards)) == (9060, 528)
+    bare = outer = 0
+    for s in small + checkerboards:
+        d = scannable_to_planar(s)
+        assert d == reference_scannable_to_planar(s), s
+        assert branches(d) == reference_branches(d), s
+        bare += d.bare_circles > 0
+        outer += d.outer_dart is not None
+    # both rarer paths of the walk are taken
+    assert bare and outer
+    for text in (HYPERBOLIC_NODE, CHAIN_WITH_LOOPS, TRIANGLE_ARC):
+        d = parse_planar_divide(text)
+        assert branches(d) == reference_branches(d)

@@ -414,8 +414,10 @@ class TestMoves:
     def test_invalid_graph_rejected(self):
         p = fence(S1, T1)
         torn = replace(p, edges=p.edges - {min(p.edges, key=sorted)})
+        m = enumerate_moves(p)[0]
         for call in (
             lambda: enumerate_moves(torn),
+            lambda: apply_move(torn, m),
             lambda: move_equivalent(torn, p),
             lambda: move_equivalent(p, torn),
         ):
