@@ -133,12 +133,15 @@ def _emit_verdict(res, machine: bool) -> int:
     return 0
 
 
+def _divide_problems(d: PlanarDivide) -> list:
+    return [f"{tag}: {msg}" for tag, msg in validate_divide(d).violations]
+
+
 def _cmd_validate(args) -> int:
     if args.file.endswith(".plb"):
         problems = validate_plabic(parse_plabic(_read(args.file)))
     else:
-        problems = [f"{tag}: {msg}" for tag, msg in
-                    validate_divide(_load_planar(args.file)).violations]
+        problems = _divide_problems(_load_planar(args.file))
     machine = args.format == "machine"
     if not problems:
         print("RESULT OK" if machine else "OK")
@@ -160,7 +163,13 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_quiver(args) -> int:
-    print(format_quiver(quiver_of_divide(_load_planar(args.file))), end="")
+    # quiver_of_divide assumes a valid divide: on one failing D5 its region
+    # signs need not be a checkerboard
+    d = _load_planar(args.file)
+    problems = _divide_problems(d)
+    if problems:
+        raise ValueError("not a valid divide\n" + "\n".join(f"  {p}" for p in problems))
+    print(format_quiver(quiver_of_divide(d)), end="")
     return 0
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from operator import add, itemgetter
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
 from ._common import bareiss, read_directives
@@ -115,11 +116,9 @@ def mutate_seq(q: Quiver, ks) -> Quiver:
 # Canonical form and isomorphism
 
 
-def _ranks(items: list) -> tuple:
-    """Each item replaced by its rank among the distinct items, and the
-    number of distinct items."""
-    rank = {c: r for r, c in enumerate(sorted(set(items)))}
-    return [rank[c] for c in items], len(rank)
+def _signs(row: tuple) -> tuple:
+    """A sorted row as its positive entries and its negative entries."""
+    return row[bisect_right(row, 0) :], row[: bisect_left(row, 0)]
 
 
 def _refine_colors(b: tuple) -> tuple:
@@ -130,27 +129,56 @@ def _refine_colors(b: tuple) -> tuple:
     over the nonzero entries of the row (the zero entries follow from the
     class sizes), until the partition is stable or discrete.  The colours
     are ranks, so a lower colour means a smaller signature in every round.
+
+    A round keeps the order of the classes, so only the members of classes
+    of two or more are signed: a multiset is the sorted tuple of
+    ``colour * (2 M + 1) + entry + M`` (``M`` the largest entry), which
+    sorts like the (colour, entry) pairs it packs.
     """
     n = len(b)
-    round0 = []
-    for row in b:
-        s = sorted(row)
-        pos, neg = s[bisect_right(s, 0) :], s[: bisect_left(s, 0)]
-        round0.append((tuple(pos), tuple(neg)))
-    colors, count = _ranks(round0)
+    rows = list(map(tuple, map(sorted, b)))
+    rank_of = {row: r for r, row in enumerate(sorted(set(rows), key=_signs))}
+    count = len(rank_of)
+    colors = list(map(rank_of.__getitem__, rows))
     if count == n:
         return colors, count
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    m = _peak(b)
+    width = 2 * m + 1
+    labels = range(n)
     while True:
-        colors, new_count = _ranks(
-            [
-                (colors[i], tuple(sorted((colors[j], x) for j, x in nz)))
-                for i, nz in enumerate(nonzero)
-            ]
-        )
-        if new_count in (count, n):
-            return colors, new_count
-        count = new_count
+        classes = [[] for _ in range(count)]
+        for i, c in enumerate(colors):
+            classes[c].append(i)
+        # colour * width + M for each column, plus the entry
+        at = [c * width + m for c in colors].__getitem__
+        rank = 0
+        for members in classes:
+            if len(members) > 1:
+                sigs = [
+                    tuple(sorted(map(add, map(at, compress(labels, row)), filter(None, row))))
+                    for row in map(b.__getitem__, members)
+                ]
+                distinct = sorted(set(sigs))
+                if len(distinct) > 1:
+                    ranks = {s: r for r, s in enumerate(distinct, rank)}
+                    for i, s in zip(members, sigs):
+                        colors[i] = ranks[s]
+                    rank += len(distinct)
+                    continue
+            for i in members:
+                colors[i] = rank
+            rank += 1
+        if rank in (count, n):
+            return colors, rank
+        count = rank
+
+
+def _relabeled(b: tuple, order) -> tuple:
+    """The matrix ``b`` relabeled by ``order``, flattened row by row."""
+    if len(order) == 1:
+        return (b[order[0]][order[0]],)
+    pick = itemgetter(*order)
+    return tuple(chain.from_iterable(map(pick, pick(b))))
 
 
 def canonical_form(q: Quiver) -> tuple:
@@ -167,22 +195,20 @@ def canonical_form(q: Quiver) -> tuple:
     of a partial order is a prefix of the key of every completion.  So a
     partial order is extended only by the vertices of least shell (one per
     class of twins, vertices with equal rows), and a branch is cut as soon
-    as its newest shell makes its key exceed the best key's prefix."""
+    as its newest shell exceeds the best order's shell at that position."""
     b = q.b
     n = q.n
     if n == 0:
         return (), ()
     colors, count = _refine_colors(b)
     if count == n:
-        order = [0] * n
-        for i, c in enumerate(colors):
-            order[c] = i
-        return tuple(b[i][j] for i in order for j in order), tuple(order)
-    classes: dict = {}
+        order = sorted(range(n), key=colors.__getitem__)
+        return _relabeled(b, order), tuple(order)
+    classes = [[] for _ in range(count)]
     for i, c in enumerate(colors):
-        classes.setdefault(c, []).append(i)
+        classes[c].append(i)
     # the class of each position, filled class by class
-    group_at = [classes[c] for c in sorted(classes) for _ in classes[c]]
+    group_at = [members for members in classes for _ in members]
     # twins (equal rows, so an automorphism swaps them) are placed in label
     # order: a vertex is a candidate once its previous twin is placed, and
     # the sentinel n stands for "no previous twin"
@@ -193,8 +219,8 @@ def canonical_form(q: Quiver) -> tuple:
         prev[i] = last.get(row, n)
         last[row] = i
     order: list = []
-    key: list = []  # the shells of order, one after another
-    best_key: list = []
+    shells: list = []  # the shell of each vertex of order
+    best_shells: list = []
     best_order: tuple = ()
     # the key of order is below the best key's prefix from position
     # free - 1 on; 0 while there is no best key, n + 1 when it is a prefix
@@ -202,13 +228,15 @@ def canonical_form(q: Quiver) -> tuple:
 
     def choices(t: int) -> list:
         """``[least shell, the candidates that have it, next index]`` for
-        position ``t``."""
+        position ``t``; a shell of one entry is that entry."""
+        if not t:
+            return [(), [v for v in group_at[0] if prev[v] == n], 0]
+        shell_of = itemgetter(*order)
         least, cands = None, []
         for v in group_at[t]:
             if placed[v] or not placed[prev[v]]:
                 continue
-            row = b[v]
-            shell = [row[o] for o in order]
+            shell = shell_of(b[v])
             if least is None or shell < least:
                 least, cands = shell, [v]
             elif shell == least:
@@ -222,14 +250,13 @@ def canonical_form(q: Quiver) -> tuple:
         t = len(stack) - 1
         if i:  # undo the previous choice at position t
             placed[order.pop()] = False
-            del key[t * (t - 1) // 2 :]
+            shells.pop()
         if free > t:  # key is the best key's prefix so far
-            start = t * (t - 1) // 2
-            segment = best_key[start : start + t]
-            if least > segment:
+            best = best_shells[t]
+            if least > best:
                 i = len(cands)  # every candidate here has this shell
             else:
-                free = t + 1 if least < segment else n + 1
+                free = t + 1 if least < best else n + 1
         if i == len(cands):
             stack.pop()
             continue
@@ -237,13 +264,12 @@ def canonical_form(q: Quiver) -> tuple:
         v = cands[i]
         placed[v] = True
         order.append(v)
-        key += least
+        shells.append(least)
         if t + 1 < n:
             stack.append(choices(t + 1))
         elif free <= n:
-            best_key, best_order, free = key[:], tuple(order), n + 1
-    order = best_order
-    return tuple(b[i][j] for i in order for j in order), order
+            best_shells, best_order, free = shells[:], tuple(order), n + 1
+    return _relabeled(b, best_order), best_order
 
 
 def canonical_key(q: Quiver) -> tuple:
@@ -317,9 +343,21 @@ def mutation_equivalent(q1: Quiver, q2: Quiver, budget: Budget = Budget()) -> Ve
             else:
                 yield k, nb
 
+    # The key of the exact matrix of every quiver either side has queued.
+    # Mutating back at the last vertex, or at two non-adjacent vertices in
+    # the other order, reaches a queued matrix again.
+    memo = {q.b: canonical_key(q) for q in (q1, q2)}
+    looked_up = None  # the matrix of the last quiver keyed
+
+    def canon(q):
+        nonlocal looked_up
+        looked_up = q.b
+        key = memo.get(looked_up)
+        return canonical_key(q) if key is None else key
+
     # bidirectional BFS over isomorphism classes, expanding the smaller side
-    front1 = Frontier(q1, canonical_key, neighbours)
-    front2 = Frontier(q2, canonical_key, neighbours)
+    front1 = Frontier(q1, canon, neighbours)
+    front2 = Frontier(q2, canon, neighbours)
     if front1.seen.keys() == front2.seen.keys():
         return Equivalent(())
     while front1 or front2:
@@ -331,7 +369,11 @@ def mutation_equivalent(q1: Quiver, q2: Quiver, budget: Budget = Budget()) -> Ve
             # one state per mutation looked up, before deduplication
             if not clock.tick():
                 return Unknown("search budget exhausted")
-            if new and key in other.seen:
+            if not new:
+                continue
+            # step queues a new quiver right after keying it
+            memo[looked_up] = key
+            if key in other.seen:
                 fwd, back = front1.seen[key], front2.seen[key]
                 # meeting point: mutate_seq(q1, fwd) and mutate_seq(q2, back)
                 # are isomorphic.  Undo the backward path (mutation is an
@@ -362,16 +404,25 @@ def parse_quiver(text: str) -> Quiver:
     n = None
     arrows = []
     for kw, args, fail in read_directives(text, _QVR_USAGE):
+        try:
+            nums = [int(a) for a in args]
+        except ValueError:
+            raise fail(f"{kw} takes integers, not {' '.join(args)!r}") from None
         if kw == "n":
-            n = int(args[0])
+            if n is not None:
+                raise fail("second vertex count")
+            if nums[0] < 0:
+                raise fail("negative vertex count")
+            n = nums[0]
             continue
         if n is None:
             raise fail("arrow before vertex count")
-        i, j = int(args[0]), int(args[1])
-        m = int(args[2]) if len(args) > 2 else 1
+        i, j = nums[0], nums[1]
         if not (0 <= i < n and 0 <= j < n):
             raise fail("arrow endpoint out of range")
-        arrows.append((i, j, m))
+        if i == j:
+            raise fail(f"loop at vertex {i}: a quiver has no loops")
+        arrows.append((i, j, nums[2] if len(nums) > 2 else 1))
     if n is None:
         raise ValueError("missing vertex count line 'n <int>'")
     return quiver_from_arrows(n, arrows)

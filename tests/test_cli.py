@@ -3,7 +3,7 @@
 import pytest
 
 from morsify.cli import main
-from morsify.divide import parse_planar_divide, parse_scannable
+from morsify.divide import format_scannable, parse_planar_divide, parse_scannable, scannable
 from morsify.link import parse_link_diagram
 from morsify.plabic import format_plabic, parse_plabic
 from morsify.quiver import parse_quiver
@@ -116,6 +116,25 @@ class TestQuiverVerbs:
         code, out2, _ = run(capsys, "mutate", str(f), "0", "0")
         assert code == 0
         assert parse_quiver(out2) == q  # mutation is involutive
+
+    def test_quiver_of_invalid_divide(self, capsys, tmp_path):
+        # the D5 example of test_divide.py: level 3 never crosses
+        f = tmp_path / "d5.sdv"
+        f.write_text(format_scannable(scannable(3, (), (1, 1), ())))
+        code, out, err = run(capsys, "quiver", str(f))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: not a valid divide",
+            "  D5: the union of branches is disconnected",
+        ]
+
+    @pytest.mark.parametrize("text", ["n 2\na 0 0\n", "n 2\nn 3\n", "n -3\n", "n x\n"])
+    def test_bad_quiver_file(self, capsys, tmp_path, text):
+        f = tmp_path / "bad.qvr"
+        f.write_text(text)
+        for argv in (["mutate", str(f), "0"], ["mut-equiv", str(f), str(f)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and err.startswith("error: line ")
 
     def test_mut_equiv(self, capsys, sdv, tmp_path):
         code, out, _ = run(capsys, "quiver", sdv)

@@ -1,13 +1,16 @@
 """Quiver mutation, canonical forms, mutation equivalence."""
 
 import random
+from bisect import bisect_left, bisect_right
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morsify._common import bareiss
+from morsify.agquiver import quiver_of_divide
+from morsify.divide import scannable, scannable_to_planar
 from morsify.quiver import (
     MAX_MULT,
     Budget,
@@ -26,7 +29,10 @@ from morsify.quiver import (
     parse_quiver,
     quick_invariants,
     quiver_from_arrows,
+    _refine_colors,
 )
+
+from test_search import CountingBudget
 
 
 def a_path(n: int) -> Quiver:
@@ -140,6 +146,36 @@ def recursive_canonical_form(q: Quiver) -> tuple:
     return tuple(b[i][j] for i in order for j in order), order
 
 
+def reference_refine_colors(b: tuple) -> tuple:
+    """Colour refinement that signs every row in every round with
+    (colour, entry) pairs: the reference for ``_refine_colors``."""
+
+    def ranks(items):
+        rank = {c: r for r, c in enumerate(sorted(set(items)))}
+        return [rank[c] for c in items], len(rank)
+
+    n = len(b)
+    round0 = []
+    for row in b:
+        s = sorted(row)
+        pos, neg = s[bisect_right(s, 0) :], s[: bisect_left(s, 0)]
+        round0.append((tuple(pos), tuple(neg)))
+    colors, count = ranks(round0)
+    if count == n:
+        return colors, count
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    while True:
+        colors, new_count = ranks(
+            [
+                (colors[i], tuple(sorted((colors[j], x) for j, x in nz)))
+                for i, nz in enumerate(nonzero)
+            ]
+        )
+        if new_count in (count, n):
+            return colors, new_count
+        count = new_count
+
+
 matrices = st.integers(1, 9).flatmap(
     lambda n: st.lists(
         st.integers(-3, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
@@ -155,6 +191,38 @@ def skew(n: int, upper) -> Quiver:
             b[i][j] = next(it)
             b[j][i] = -b[i][j]
     return Quiver(tuple(map(tuple, b)))
+
+
+def doubled(half: Quiver, across, perm) -> Quiver:
+    """Two copies of ``half`` with the arrows ``across`` between the copies,
+    the same both ways round, relabeled by ``perm``: a quiver an involution
+    swaps, where the refinement is rarely discrete."""
+    h = half.n
+    b = [[0] * (2 * h) for _ in range(2 * h)]
+    for i in range(h):
+        for j in range(h):
+            b[i][j] = b[i + h][j + h] = half.b[i][j]
+    it = iter(across)
+    for i in range(h):
+        for j in range(i + 1, h):
+            x = next(it)
+            b[i][j + h], b[j + h][i] = x, -x
+            b[i + h][j], b[j][i + h] = x, -x
+    return relabel(Quiver(tuple(map(tuple, b))), perm)
+
+
+doubled_matrices = matrices.flatmap(
+    lambda half: st.builds(
+        doubled,
+        st.just(half),
+        st.lists(
+            st.integers(-1, 1),
+            min_size=half.n * (half.n - 1) // 2,
+            max_size=half.n * (half.n - 1) // 2,
+        ),
+        st.permutations(range(2 * half.n)),
+    )
+)
 
 
 class TestMutation:
@@ -284,21 +352,30 @@ class TestCanonical:
             # on half the vertices, doubled, with arrows across the halves
             h = rng.randint(1, 5)
             half = random_quiver(rng, h, mmax=1)
-            b = [[0] * (2 * h) for _ in range(2 * h)]
-            for i in range(h):
-                for j in range(h):
-                    b[i][j] = b[i + h][j + h] = half.b[i][j]
-            for i in range(h):
-                for j in range(i + 1, h):
-                    x = rng.randint(-1, 1)
-                    b[i][j + h], b[j + h][i] = x, -x
-                    b[i + h][j], b[j][i + h] = x, -x
-            q = Quiver(tuple(map(tuple, b)))
+            across = [rng.randint(-1, 1) for _ in range(h * (h - 1) // 2)]
             perm = list(range(2 * h))
             rng.shuffle(perm)
-            quivers.append(relabel(q, perm))
+            quivers.append(doubled(half, across, perm))
         for q in quivers + [BIG_LEFT, BIG_RIGHT, mutate_seq(BIG_LEFT, (0, 3))]:
             assert canonical_form(q) == recursive_canonical_form(q)
+
+    @given(st.one_of(matrices, doubled_matrices))
+    @example(
+        # vertices 5 and 6 split only by telling an entry 1 at colour c from an
+        # entry -1 at colour c + 1, which pack alike with a width of 2 M
+        Quiver(
+            (
+                (0, -1, -1, 0, -1, 1, 0), (1, 0, 1, 1, 0, 0, 1),
+                (1, -1, 0, 1, 0, -1, 0), (0, -1, -1, 0, 0, -1, -1),
+                (1, 0, 0, 0, 0, 0, -1), (-1, 0, 1, 1, 0, 0, 0),
+                (0, -1, 0, 1, 1, 0, 0),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_refinement_agrees_with_reference(self, q):
+        colors, count = _refine_colors(q.b)
+        assert (list(colors), count) == reference_refine_colors(q.b)
 
     # two labelings of one regular tournament on 11 vertices (the circulant
     # i -> i+1..i+5 with directed 3-cycles reversed), row i of b as signs
@@ -404,6 +481,16 @@ class TestMutationEquivalent:
         assert isinstance(res, Unknown)
         assert res.reason.startswith(f"orbits disjoint below multiplicity cap {MAX_MULT};")
 
+    def test_p5_pair_at_200_lookups(self):
+        # the full-twist divides of acceptance check P5: 21-vertex quivers
+        # whose search stops on its budget
+        left = scannable(4, (), (1, 3, 2, 1, 3, 2, 2, 1, 3, 2, 1, 3), ())
+        right = scannable(4, (1, 3), (2, 1, 3, 2, 1, 3, 2, 1, 3, 2), (1, 3))
+        q1, q2 = (quiver_of_divide(scannable_to_planar(s)) for s in (left, right))
+        b = CountingBudget(max_states=200, max_seconds=600)
+        assert mutation_equivalent(q1, q2, b) == Unknown("search budget exhausted")
+        assert b.states == 201
+
     def test_big_pair_by_search(self):
         res = mutation_equivalent(
             BIG_LEFT, BIG_RIGHT, Budget(max_states=200000, max_seconds=120)
@@ -423,7 +510,14 @@ class TestTextFormat:
         assert parse_quiver(format_quiver(q)) == q
 
     def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_quiver("a 0 1\nn 2\n")
-        with pytest.raises(ValueError):
-            parse_quiver("n 2\na 0 5\n")
+        for text, error in [
+            ("a 0 1\nn 2\n", "line 1: arrow before vertex count"),
+            ("n 2\na 0 5\n", "line 2: arrow endpoint out of range"),
+            ("n 2\na 0 0\n", "line 2: loop at vertex 0"),
+            ("n 2\nn 3\n", "line 2: second vertex count"),
+            ("n -3\n", "line 1: negative vertex count"),
+            ("n x\n", "line 1: n takes integers"),
+            ("n 2\na 0 1 y\n", "line 2: a takes integers"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{error}"):
+                parse_quiver(text)
