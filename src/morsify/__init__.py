@@ -26,6 +26,7 @@ from .divide import (
     ScannableDivide,
     apply_yb,
     cell_count,
+    face_signs,
     format_planar_divide,
     format_scannable,
     klein_act,

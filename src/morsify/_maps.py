@@ -163,45 +163,3 @@ def format_map(edges: Iterable[frozenset], boundary_order: Sequence, outer_dart:
         lines.append(f"outer {outer_dart[0]}.{outer_dart[1]}")
     return lines
 
-
-def two_colouring(
-    n: int,
-    constraints: Iterable[tuple[int, int, int]],
-    anchor: int,
-    clash: Callable[[int, int], Exception],
-) -> list[int]:
-    """Colours 0/1 of items ``0..n-1`` meeting every ``(i, j, differ)``
-    constraint: ``i`` and ``j`` differ when ``differ`` is 1, agree when 0.
-
-    ``anchor`` gets colour 0, and so does the least item of every other
-    component.  The first constraint contradicting earlier ones raises
-    ``clash(i, j)``.
-    """
-    parent = list(range(n))
-    parity = [0] * n  # colour relative to the parent
-    size = [1] * n
-
-    def find(x: int) -> tuple[int, int]:
-        p = 0
-        while parent[x] != x:
-            p ^= parity[x]
-            x = parent[x]
-        return x, p
-
-    for i, j, differ in constraints:
-        (ri, pi), (rj, pj) = find(i), find(j)
-        if ri == rj:
-            if pi ^ pj != differ:
-                raise clash(i, j)
-            continue
-        if size[ri] < size[rj]:
-            ri, rj = rj, ri
-        parent[rj] = ri
-        parity[rj] = pi ^ pj ^ differ
-        size[ri] += size[rj]
-    fixed: dict = {}
-    colours = [0] * n
-    for i in ([anchor] if n else []) + list(range(n)):
-        root, p = find(i)
-        colours[i] = p ^ fixed.setdefault(root, p)
-    return colours

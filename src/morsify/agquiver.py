@@ -1,25 +1,22 @@
 """Signed node/region incidence diagrams of divides, and their quivers.
 
 The diagram of a divide has a black vertex per node and a signed vertex
-(``+`` or ``-``) per region; adjacent regions (sharing a 1-cell) carry
-opposite signs, regions sharing only a node carry equal signs.  Edges join a
-region to each separating 1-cell's opposite region, and to the nodes on its
-boundary, one edge per corner of the boundary walk.  Orienting every edge by
-the cyclic rule black → plus → minus → black and forgetting the markings
-yields the divide's quiver.
+(``+`` or ``-``) per region.  A region's sign is that of its face in the
+checkerboard :func:`morsify.divide.face_signs`, so regions sharing a 1-cell
+carry opposite signs and regions sharing only a node equal ones; a
+crossing-free circle is ``+``.  Edges join a region to each separating
+1-cell's opposite region, and to the nodes on its boundary, one edge per
+corner of the boundary walk.  Orienting every edge by the cyclic rule
+black → plus → minus → black and forgetting the markings yields the divide's
+quiver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._maps import two_colouring
-from .divide import PlanarDivide, regions
+from .divide import PlanarDivide, face_signs, regions
 from .quiver import Quiver, quiver_from_arrows
-
-
-class SignConflict(ValueError):
-    """The region sign constraints are unsatisfiable (invalid divide)."""
 
 
 @dataclass(frozen=True)
@@ -33,42 +30,10 @@ class AGDiagram:
         return len(self.black) + len(self.region_signs)
 
 
-def _sign_assignment(d: PlanarDivide, rs) -> tuple:
-    """Two-color the regions: lexicographically-least region gets '+'."""
-    constraints = []  # (region, region, 1 for opposite signs)
-    dart_region = {x: r.index for r in rs for x in r.darts}
-    # adjacent regions (separated by a 1-cell): opposite signs
-    adjacent: set = set()
-    for e in d.edges:
-        a, b = sorted(e)
-        ra, rb = dart_region.get(a), dart_region.get(b)
-        if ra is not None and rb is not None:
-            adjacent.add(frozenset({ra, rb}))
-            constraints.append((ra, rb, 1))
-    # non-adjacent regions sharing a node: equal signs
-    at_node: dict = {}
-    for r in rs:
-        for nd in r.region_nodes:
-            at_node.setdefault(nd, []).append(r.index)
-    for members in at_node.values():
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                if x != y and frozenset({x, y}) not in adjacent:
-                    constraints.append((x, y, 0))
-    colours = two_colouring(
-        len(rs),
-        constraints,
-        0,
-        lambda x, y: SignConflict(
-            f"regions {x} and {y} cannot satisfy the sign constraints"
-        ),
-    )
-    return tuple("-" if c else "+" for c in colours)
-
-
 def ag_diagram(d: PlanarDivide) -> AGDiagram:
     rs = regions(d)
-    signs = _sign_assignment(d, rs)
+    sign = face_signs(d)
+    signs = tuple(sign[r.darts[0]] if r.darts else "+" for r in rs)
     dart_region = {x: r.index for r in rs for x in r.darts}
     edges = []
     # region--node: one edge per corner of the region's boundary walk
@@ -92,21 +57,21 @@ def ag_vertices(diagram: AGDiagram) -> list:
 
 
 def quiver_of_divide(d: PlanarDivide) -> Quiver:
+    """The quiver of the divide's diagram.  The divide is not validated: on
+    a divide failing D5 the region signs are still the checkerboard
+    :func:`~morsify.divide.face_signs` that colours the attached plabic
+    graph, so the quiver is isomorphic to that graph's quiver."""
     diagram = ag_diagram(d)
     verts = ag_vertices(diagram)
     idx = {v: i for i, v in enumerate(verts)}
     arrows = []
     for u, v in diagram.edges:
-        if u[0] == "region" and v[0] == "node":
-            s = diagram.region_signs[u[1]]
-            # black -> plus, minus -> black
-            arrows.append((idx[v], idx[u]) if s == "+" else (idx[u], idx[v]))
-        elif u[0] == "region" and v[0] == "region":
-            su = diagram.region_signs[u[1]]
-            # plus -> minus
-            arrows.append((idx[u], idx[v]) if su == "+" else (idx[v], idx[u]))
-        else:  # pragma: no cover - edges are emitted in the two forms above
-            raise SignConflict("malformed diagram edge")
+        # every edge starts at a region: black -> plus -> minus -> black
+        plus = diagram.region_signs[u[1]] == "+"
+        if v[0] == "node":
+            arrows.append((idx[v], idx[u]) if plus else (idx[u], idx[v]))
+        else:
+            arrows.append((idx[u], idx[v]) if plus else (idx[v], idx[u]))
     return quiver_from_arrows(len(verts), arrows)
 
 

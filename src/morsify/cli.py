@@ -163,8 +163,9 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_quiver(args) -> int:
-    # quiver_of_divide assumes a valid divide: on one failing D5 its region
-    # signs need not be a checkerboard
+    # quiver_of_divide does not validate; on a divide failing D5 it returns
+    # the quiver of the attached plabic graph's checkerboard, but the paper
+    # defines a divide's quiver only for valid divides, so the verb refuses
     d = _load_planar(args.file)
     problems = _divide_problems(d)
     if problems:

@@ -29,6 +29,10 @@ Dart = tuple  # (vertex_id, slot)
 # Planar divides
 
 
+class SignConflict(ValueError):
+    """The divide's faces admit no checkerboard (the divide is invalid)."""
+
+
 class DivideParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
@@ -114,12 +118,40 @@ def regions(d: PlanarDivide) -> list[Region]:
 def _regions(d: PlanarDivide, fs: list, arc_darts: set) -> list[Region]:
     inner, _ = split_faces(fs, arc_darts, d.outer_dart)
     twin = d.twin()
-    out = [
+    return [
         Region(i, f, tuple((x[0], frozenset({x, twin[x]})) for x in f))
-        for i, f in enumerate(inner)
+        for i, f in enumerate(inner + [()] * d.bare_circles)
     ]
-    out.extend(Region(len(out) + j, (), ()) for j in range(d.bare_circles))
-    return out
+
+
+def face_signs(d: PlanarDivide) -> dict:
+    """The checkerboard of the divide's faces: the sign ``'+'`` or ``'-'`` of
+    the face of every dart of the closed map, opposite on the two sides of
+    every divide edge.  It floods across divide edges from region 0's face,
+    which is ``'+'``; each part not reached from there starts with ``'+'`` at
+    its first face in tracing order.  Raises :class:`SignConflict` if no
+    checkerboard exists.
+    """
+    cm = d.closed_map()
+    fs = cm.faces()
+    inner, _ = split_faces(fs, cm.arc_darts, d.outer_dart)
+    face_of = {x: f for f in fs for x in f}
+    twin = d.twin()  # divide edges only: a boundary arc's darts are not in it
+    sign: dict = {}
+    for first in inner[:1] + fs:
+        todo = [] if first[0] in sign else [(first[0], "+")]
+        while todo:
+            x, s = todo.pop()
+            if x in sign:
+                if sign[x] != s:
+                    raise SignConflict(
+                        f"the divide edge at {x[0]}.{x[1]} has one sign on both sides"
+                    )
+                continue
+            sign.update(dict.fromkeys(face_of[x], s))
+            t = "-" if s == "+" else "+"
+            todo.extend((twin[y], t) for y in face_of[x] if y in twin)
+    return sign
 
 
 def cell_count(d: PlanarDivide) -> CellCount:

@@ -21,8 +21,8 @@ from typing import Optional
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
 from ._common import UnionFind, line_error, read_directives
 from ._maps import check_map, closed_map, format_map, map_darts, parse_dart
-from ._maps import split_faces, twin_map, two_colouring
-from .divide import PlanarDivide, ScannableDivide, SiteDescriptor
+from ._maps import split_faces, twin_map
+from .divide import PlanarDivide, ScannableDivide, SiteDescriptor, face_signs
 from .divide import validate as divide_validate
 from .divide import apply_yb, yb_sites
 from .quiver import Quiver, quick_invariants, quiver_from_arrows
@@ -687,31 +687,16 @@ def fence_of_divide(s: ScannableDivide) -> PlabicGraph:
 # Attaching a plabic graph to a divide
 
 
-def _face_signs(d: PlanarDivide):
-    """Two-color all faces of the divide's closed map (checkerboard), aligned
-    with the region sign normalization: region 0 receives '+'."""
-    cm = d.closed_map()
-    fs = cm.faces()
-    dart_face = {x: i for i, f in enumerate(fs) for x in f}
-    regions, _ = split_faces(fs, cm.arc_darts, d.outer_dart)
-    anchor = dart_face[regions[0][0]] if regions else 0
-    colours = two_colouring(
-        len(fs),
-        ((dart_face[a], dart_face[b], 1) for a, b in d.edges),
-        anchor,
-        lambda i, j: ValueError("divide faces admit no checkerboard coloring"),
-    )
-    return ["-" if c else "+" for c in colours], dart_face
-
-
 def attach_plabic(d: PlanarDivide, tails=None) -> PlabicGraph:
     """Replace every node by an alternating-color square of four trivalent
-    vertices; divide strands become edges, endpoints become boundary leaves
-    (white unless recolored through ``tails``)."""
+    vertices, black at the corners facing a ``'-'`` face of
+    :func:`~morsify.divide.face_signs`; divide strands become edges,
+    endpoints become boundary leaves (white unless recolored through
+    ``tails``)."""
     if d.bare_circles:
         raise ValueError("cannot attach a graph to a vertex-free closed curve")
     tails = dict(tails or {})
-    signs, dart_face = _face_signs(d)
+    sign = face_signs(d)
     internal: set = set()
     black: set = set()
     edges: list = []
@@ -721,7 +706,7 @@ def attach_plabic(d: PlanarDivide, tails=None) -> PlabicGraph:
         for s in range(4):
             # the corner at slot s borders, counterclockwise, the face swept
             # from slot s to slot s+1, which is the face of the dart (n, s+1)
-            if signs[dart_face[(n, (s + 1) % 4)]] == "-":
+            if sign[(n, (s + 1) % 4)] == "-":
                 black.add(corners[s])
             edges.append(
                 frozenset({(corners[s], 1), (corners[(s + 1) % 4], 2)})

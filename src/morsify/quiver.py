@@ -422,7 +422,10 @@ def parse_quiver(text: str) -> Quiver:
             raise fail("arrow endpoint out of range")
         if i == j:
             raise fail(f"loop at vertex {i}: a quiver has no loops")
-        arrows.append((i, j, nums[2] if len(nums) > 2 else 1))
+        m = nums[2] if len(nums) > 2 else 1
+        if m <= 0:
+            raise fail(f"arrow multiplicity must be positive, not {m}")
+        arrows.append((i, j, m))
     if n is None:
         raise ValueError("missing vertex count line 'n <int>'")
     return quiver_from_arrows(n, arrows)

@@ -6,19 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsify.agquiver import SignConflict, ag_diagram, format_ag, quiver_of_divide
+from morsify.agquiver import ag_diagram, format_ag, quiver_of_divide
 from morsify.divide import (
+    SignConflict,
     cell_count,
     lissajous,
     parse_planar_divide,
     regions,
     scannable,
     scannable_to_planar,
+    validate,
     wiring_diagram,
 )
 from morsify.quiver import is_isomorphic, mutation_equivalent, quiver_from_arrows
 
-from test_divide import CHAIN_WITH_LOOPS, HYPERBOLIC_NODE, TRIANGLE_ARC, figure_eight
+from test_divide import CHAIN_WITH_LOOPS, HYPERBOLIC_NODE, TRIANGLE_ARC
+from test_divide import checkerboard_sweep, figure_eight
 
 # frozen 6-vertex quivers of the two divides realizing the same singularity:
 # b1,b2,b3 = nodes, p = the central plus region, m1,m2 = minus regions
@@ -92,7 +95,7 @@ class TestDiagram:
 
     def test_one_cell_bounding_one_region_twice(self):
         # swapping slots 1 and 2 of b3 makes a 1-cell with the same region on
-        # both sides; the sign constraints catch it as a region opposing itself
+        # both sides, so the faces admit no checkerboard
         text = TRIANGLE_ARC.replace("b3.1", "@").replace("b3.2", "b3.1")
         d = parse_planar_divide(text.replace("@", "b3.2"))
         where = {x: r.index for r in regions(d) for x in r.darts}
@@ -100,7 +103,7 @@ class TestDiagram:
         assert any(len(s) == 1 and None not in s for s in sides)
         with pytest.raises(SignConflict) as err:
             ag_diagram(d)
-        assert str(err.value) == "regions 0 and 0 cannot satisfy the sign constraints"
+        assert str(err.value) == "the divide edge at b1.1 has one sign on both sides"
 
 
 class TestQuiver:
@@ -160,3 +163,62 @@ def test_vertex_count_equals_cells(b, parity):
     assert g.vertex_count == cell_count(d).total
     q = quiver_of_divide(d)
     assert q.n == g.vertex_count
+
+
+def reference_sign_assignment(d) -> tuple:
+    """The region signs of the constraint colouring that the checkerboard
+    replaced: regions across a 1-cell differ, regions sharing only a node
+    agree, region 0 and the least region of every other component are '+'."""
+    rs = regions(d)
+    constraints = []  # (region, region, 1 for opposite signs)
+    where = {x: r.index for r in rs for x in r.darts}
+    adjacent: set = set()
+    for e in d.edges:
+        a, b = sorted(e)
+        ra, rb = where.get(a), where.get(b)
+        if ra is not None and rb is not None:
+            adjacent.add(frozenset({ra, rb}))
+            constraints.append((ra, rb, 1))
+    at_node: dict = {}
+    for r in rs:
+        for nd in r.region_nodes:
+            at_node.setdefault(nd, []).append(r.index)
+    for members in at_node.values():
+        for i, x in enumerate(members):
+            for y in members[i + 1 :]:
+                if x != y and frozenset({x, y}) not in adjacent:
+                    constraints.append((x, y, 0))
+    # union-find with each item's colour relative to its parent
+    parent, parity = list(range(len(rs))), [0] * len(rs)
+
+    def find(x):
+        p = 0
+        while parent[x] != x:
+            p ^= parity[x]
+            x = parent[x]
+        return x, p
+
+    for i, j, differ in constraints:
+        (ri, pi), (rj, pj) = find(i), find(j)
+        if ri == rj:
+            assert pi ^ pj == differ, "the constraints clash"
+        else:
+            parent[rj], parity[rj] = ri, pi ^ pj ^ differ
+    fixed: dict = {}
+    colours = []
+    for i in range(len(rs)):
+        root, p = find(i)
+        colours.append(p ^ fixed.setdefault(root, p))
+    return tuple("-" if c else "+" for c in colours)
+
+
+def test_signs_match_the_constraint_colouring():
+    """On every valid divide of the sweep, the checkerboard gives the region
+    signs of the constraint colouring it replaced."""
+    valid = [d for d in checkerboard_sweep() if validate(d).ok]
+    assert len(valid) == 739
+    for d in valid:
+        assert ag_diagram(d).region_signs == reference_sign_assignment(d), d
+    for text in (TRIANGLE_ARC, CHAIN_WITH_LOOPS):
+        d = parse_planar_divide(text)
+        assert ag_diagram(d).region_signs == reference_sign_assignment(d)

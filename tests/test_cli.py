@@ -128,7 +128,9 @@ class TestQuiverVerbs:
             "  D5: the union of branches is disconnected",
         ]
 
-    @pytest.mark.parametrize("text", ["n 2\na 0 0\n", "n 2\nn 3\n", "n -3\n", "n x\n"])
+    @pytest.mark.parametrize(
+        "text", ["n 2\na 0 0\n", "n 2\nn 3\n", "n -3\n", "n x\n", "n 2\na 0 1 0\n"]
+    )
     def test_bad_quiver_file(self, capsys, tmp_path, text):
         f = tmp_path / "bad.qvr"
         f.write_text(text)

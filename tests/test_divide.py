@@ -14,6 +14,7 @@ from morsify.divide import (
     apply_yb,
     branches,
     cell_count,
+    face_signs,
     format_planar_divide,
     format_scannable,
     klein_act,
@@ -212,6 +213,12 @@ class TestScannable:
         assert validate(d).ok
         assert d.bare_circles == 1
         assert cell_count(d) == (0, 1, 1)
+
+    def test_bare_circles_numbered_in_turn(self):
+        d = scannable_to_planar(parse_scannable("k 6\nL 1 3 5\nE\nR 1 3 5\n"))
+        assert d.bare_circles == 3
+        assert [r.index for r in regions(d)] == [0, 1, 2]
+        assert face_signs(d) == {}
 
     def test_crossing_free_chord(self):
         # level 3 never crosses: it becomes a boundary-to-boundary arc,
@@ -538,14 +545,35 @@ def _turn_sets(k: int) -> list:
     return sets
 
 
-def _small_scannables():
+def _small_scannables(sizes=((2, 6), (3, 5), (4, 4), (5, 3))):
     """Every scannable divide on 2-5 strands, with all U-turn sets on both
-    sides and every event word of up to 6, 5, 4, 3 letters."""
-    for k, longest in ((2, 6), (3, 5), (4, 4), (5, 3)):
+    sides and every event word of up to 6, 5, 4, 3 letters; ``sizes`` pairs
+    each strand count with its longest word."""
+    for k, longest in sizes:
         words = [w for n in range(longest + 1) for w in product(range(1, k), repeat=n)]
         turns = _turn_sets(k)
         for left, right, w in product(turns, turns, words):
             yield scannable(k, left, w, right)
+
+
+def checkerboard_sweep() -> list:
+    """The 1,560 divides without bare circles of every scannable divide on 2
+    and 3 strands (words of up to 6 and 5 letters) and on 4 strands (up to 3
+    letters), valid or not."""
+    ds = [scannable_to_planar(s) for s in _small_scannables(((2, 6), (3, 5), (4, 3)))]
+    return [d for d in ds if not d.bare_circles]
+
+
+def test_face_signs_are_a_checkerboard():
+    """Across every divide edge the signs differ, and region 0's face is '+'
+    (also on divides failing D5)."""
+    sweep = checkerboard_sweep()
+    assert len(sweep) == 1560
+    for d in sweep:
+        sign = face_signs(d)
+        assert all(sign[a] != sign[b] for a, b in d.edges), d
+        rs = regions(d)
+        assert not rs or sign[rs[0].darts[0]] == "+"
 
 
 def _lissajous_and_klein_images():

@@ -518,6 +518,8 @@ class TestTextFormat:
             ("n -3\n", "line 1: negative vertex count"),
             ("n x\n", "line 1: n takes integers"),
             ("n 2\na 0 1 y\n", "line 2: a takes integers"),
+            ("n 2\na 0 1 0\n", "line 2: arrow multiplicity must be positive"),
+            ("n 2\na 0 1 -2\n", "line 2: arrow multiplicity must be positive"),
         ]:
             with pytest.raises(ValueError, match=f"^{error}"):
                 parse_quiver(text)
