@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .divide import PlanarDivide, face_signs, regions
+from .divide import PlanarDivide, _face_signs, _regions
 from .quiver import Quiver, quiver_from_arrows
 
 
@@ -31,8 +31,10 @@ class AGDiagram:
 
 
 def ag_diagram(d: PlanarDivide) -> AGDiagram:
-    rs = regions(d)
-    sign = face_signs(d)
+    cm = d.closed_map()  # traced once for the regions and their signs
+    fs = cm.faces()
+    rs = _regions(d, fs, cm.arc_darts)
+    sign = _face_signs(d, fs, cm.arc_darts)
     signs = tuple(sign[r.darts[0]] if r.darts else "+" for r in rs)
     dart_region = {x: r.index for r in rs for x in r.darts}
     edges = []

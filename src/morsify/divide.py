@@ -133,8 +133,11 @@ def face_signs(d: PlanarDivide) -> dict:
     checkerboard exists.
     """
     cm = d.closed_map()
-    fs = cm.faces()
-    inner, _ = split_faces(fs, cm.arc_darts, d.outer_dart)
+    return _face_signs(d, cm.faces(), cm.arc_darts)
+
+
+def _face_signs(d: PlanarDivide, fs: list, arc_darts: set) -> dict:
+    inner, _ = split_faces(fs, arc_darts, d.outer_dart)
     face_of = {x: f for f in fs for x in f}
     twin = d.twin()  # divide edges only: a boundary arc's darts are not in it
     sign: dict = {}

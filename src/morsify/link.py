@@ -6,18 +6,24 @@ together with its sign; ``free_loops`` counts crossing-free circles split
 from the rest of the diagram.  Positive braid words close up to diagrams via
 ``closure``.
 
-Invariants: component count, the (one-variable) Alexander polynomial -- via
-the reduced Burau representation for braid words and via the Fox/Wirtinger
-matrix for diagrams, both evaluated at the integers t = 2, 3, ... with integer
-arithmetic only (Bareiss determinants) and recovered by exact integer
-interpolation -- the Kauffman bracket (capped state count), and the Jones
-polynomial in the half-integer variable ``s`` with ``s^2 = t``.
+Invariants: component count, the (one-variable) Alexander polynomial, the
+Kauffman bracket (capped state count), and the Jones polynomial in the
+half-integer variable ``s`` with ``s^2 = t``.
+
+The Alexander polynomial of a braid word is the reduced Burau determinant,
+evaluated at the integers t = 2, 3, ... and recovered by exact integer
+interpolation.  Of a diagram, it is a maximal minor of the Fox matrix of the
+Wirtinger presentation, eliminated over Z[t, 1/t] by pivots on unit entries
+``±t^k`` of sparse Laurent rows; the few rows left without a unit entry are
+evaluated at t = 2, 3, ... and finished the same way.  Both routes use integer
+arithmetic only (Bareiss determinants, no fractions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Optional, Union
 
 from ._common import UnionFind, bareiss, read_directives
@@ -321,21 +327,146 @@ def _fox_columns(d: LinkDiagram) -> tuple[list, int]:
     return columns, len(classes)
 
 
-def _wirtinger_matrix(columns: list, g: int, t: int) -> list:
-    """The Fox matrix at the integer ``t``: one row per crossing."""
+def _fox_rows(columns: list, width: int) -> list:
+    """The Fox matrix over Z[t, 1/t] on its first ``width`` columns, one
+    sparse row per crossing: column -> {exponent: coefficient}, with no zero
+    entries and no zero coefficients.  The under-in, over and under-out arcs
+    of a positive crossing get t, 1 - t and -1, of a negative one 1, t - 1
+    and -t."""
     rows = []
     for a, over, c, sign in columns:
-        row = [0] * g
         if sign > 0:
-            row[a] += t
-            row[over] += 1 - t
-            row[c] -= 1
+            terms = ((a, 1, 1), (over, 0, 1), (over, 1, -1), (c, 0, -1))
         else:
-            row[a] += 1
-            row[over] += t - 1
-            row[c] -= t
-        rows.append(row)
+            terms = ((a, 0, 1), (over, 1, 1), (over, 0, -1), (c, 1, -1))
+        row: dict = {}
+        for j, e, x in terms:
+            if j < width:
+                p = row.setdefault(j, {})
+                p[e] = p.get(e, 0) + x
+        rows.append(
+            {j: q for j, p in row.items() if (q := {e: x for e, x in p.items() if x})}
+        )
     return rows
+
+
+def _is_unit(p: dict) -> bool:
+    """Whether ``p`` is ``±t^k``, a unit of Z[t, 1/t]."""
+    return len(p) == 1 and abs(next(iter(p.values()))) == 1
+
+
+def _eliminate_units(rows: list, under_out: list) -> list:
+    """Pivot on unit entries until none is left; the rows left over.
+
+    A pivot ``±t^k`` in row ``p`` and column ``c`` clears column ``c`` from
+    every other row by an exact multiple of row ``p``, then drops row ``p``
+    and column ``c``: the determinant changes by the factor ``±t^k`` only.
+    Row ``r`` is crossing ``r``, and ``under_out[r]`` the column of the arc
+    that starts there, a unit (-1 or -t) unless it shares its column with
+    another arc of the crossing.  Every arc starts at one crossing only, so
+    these are one candidate per row, each in a column of its own, and they
+    come first: on plabic links of random 3-strand fences of 36-600
+    crossings they leave 3-5 rows, where the Markowitz cost alone leaves up
+    to 18.  Among them, and then among the other units, the least Markowitz
+    cost (row length - 1) * (column length - 1) wins, ties to the least row
+    and column.  The heap holds the
+    cost of every unit entry as it was pushed; a pivot pushes again the
+    units of the rows and columns it changes, and a popped entry whose cost
+    is no longer current is skipped.
+    """
+    live = dict(enumerate(rows))
+    at: dict = {}  # column -> rows with an entry there
+    for r, row in live.items():
+        for j in row:
+            at.setdefault(j, set()).add(r)
+
+    def cost(r, j):
+        return j != under_out[r], (len(live[r]) - 1) * (len(at[j]) - 1)
+
+    heap = [
+        (cost(r, j), r, j)
+        for r, row in live.items()
+        for j, q in row.items()
+        if _is_unit(q)
+    ]
+    heapify(heap)
+    while heap:
+        was, p, c = heappop(heap)
+        top = live.get(p)
+        if top is None or c not in top or not _is_unit(top[c]) or cost(p, c) != was:
+            continue
+        del live[p]
+        ((k, s),) = top.pop(c).items()
+        for j in top:
+            at[j].discard(p)
+        changed = at.pop(c)
+        changed.discard(p)
+        for r in changed:
+            row = live[r]
+            # row r minus (its entry at c) / (s t^k) times row p
+            f = [(e - k, -x * s) for e, x in row.pop(c).items()]
+            for j, q in top.items():
+                out = row.get(j)
+                if out is None:
+                    row[j] = out = {}
+                    at[j].add(r)
+                for e1, x1 in f:
+                    for e2, x2 in q.items():
+                        e = e1 + e2
+                        if x := out.get(e, 0) + x1 * x2:
+                            out[e] = x
+                        else:
+                            del out[e]
+                if not out:
+                    del row[j]
+                    at[j].discard(r)
+        for r in changed:
+            for j, q in live[r].items():
+                if _is_unit(q):
+                    heappush(heap, (cost(r, j), r, j))
+        for j in top:
+            for r in at[j] - changed:
+                if _is_unit(live[r][j]):
+                    heappush(heap, (cost(r, j), r, j))
+    return list(live.values())
+
+
+def _remainder_det(rows: list) -> LaurentPoly:
+    """The determinant, up to a unit, of a square matrix of sparse Laurent
+    rows (as :func:`_fox_rows`; columns are the keys the rows use).
+
+    Each row is shifted to exponents from 0, which changes the determinant by
+    a power of t, and then spans at most its degree span, so the determinant
+    is a polynomial of degree at most the sum of the spans: it is evaluated
+    at that many points plus one, t = 2, 3, ..., by :func:`bareiss` and
+    recovered by :func:`_poly_through`.
+    """
+    cols = {j: i for i, j in enumerate(sorted({j for row in rows for j in row}))}
+    if not all(rows) or len(cols) < len(rows):
+        return LaurentPoly(())  # a zero row, or a column with no entries
+    shifted = []  # per row: (column index, ((exponent from 0, coefficient), ...))
+    degree = top = 0
+    for row in rows:
+        exps = [e for p in row.values() for e in p]
+        lo, hi = min(exps), max(exps)
+        degree += hi - lo
+        top = max(top, hi - lo)
+        shifted.append(
+            [(cols[j], [(e - lo, x) for e, x in p.items()]) for j, p in row.items()]
+        )
+    ys = []
+    for t in range(_T0, _T0 + degree + 1):
+        power = [1]
+        for _ in range(top):
+            power.append(power[-1] * t)
+        m = []
+        for row in shifted:
+            vals = [0] * len(rows)
+            for i, terms in row:
+                vals[i] = sum(x * power[e] for e, x in terms)
+            m.append(vals)
+        ys.append(bareiss(m)[0])
+    return _poly_through(ys)
 
 
 def _alexander_of_diagram(d: LinkDiagram) -> LaurentPoly:
@@ -356,17 +487,17 @@ def _alexander_of_diagram(d: LinkDiagram) -> LaurentPoly:
     if g - 1 > n:
         return LaurentPoly(())
     columns = columns[: g - 1]
-    ys = []
-    for t in range(_T0, _T0 + g):  # the minor's determinant has degree < g
-        minor = [row[:-1] for row in _wirtinger_matrix(columns, g, t)]
-        ys.append(bareiss(minor)[0])
-    return _poly_through(ys).normalize()
+    rows = _fox_rows(columns, g - 1)
+    under_out = [c for _a, _over, c, _sign in columns]
+    return _remainder_det(_eliminate_units(rows, under_out)).normalize()
 
 
 def alexander(x: Union[Word, LinkDiagram], k: Optional[int] = None) -> LaurentPoly:
     """The one-variable Alexander polynomial, normalized to lowest exponent 0
     and positive top coefficient.  Braid words use the reduced Burau
-    determinant; diagrams use the Fox/Wirtinger matrix."""
+    determinant.  Diagrams use a minor of the Fox/Wirtinger matrix, reduced
+    by unit-pivot elimination over Z[t, 1/t] to a few rows whose determinant
+    is interpolated from its values at the integers t >= 2."""
     if isinstance(x, LinkDiagram):
         return _alexander_of_diagram(x)
     if k is None:

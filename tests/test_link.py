@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from morsify.link import (
@@ -23,7 +23,20 @@ from morsify.link import (
     parse_link_diagram,
     parse_poly,
 )
-from morsify.link import _DELTA, _poly_through
+from morsify._common import bareiss
+from morsify.braid import beta_of_scannable
+from morsify.divide import lissajous
+from morsify.link import _DELTA, _fox_columns, _poly_through
+from morsify.plabic import (
+    DisconnectedFence,
+    FenceWord,
+    admissible_orientation,
+    apply_move,
+    enumerate_moves,
+    fence_of_divide,
+    fence_of_word,
+    link_of_oriented_plabic,
+)
 
 
 def poly(*coeffs) -> LaurentPoly:
@@ -88,6 +101,117 @@ def brute_bracket(d: LinkDiagram) -> LaurentPoly:
             term = term * _DELTA
         total = total + term
     return total
+
+
+def reference_wirtinger_alexander(d: LinkDiagram) -> LaurentPoly:
+    """The diagram route before unit-pivot elimination: the Fox minor (last
+    column dropped, and the last row when g = n) at the integers
+    t = 2, ..., g + 1, a Bareiss determinant at each, then interpolation."""
+    n = len(d.crossings)
+    if d.free_loops:
+        if n or d.free_loops > 1:
+            return LaurentPoly(())
+        return LaurentPoly.constant(1)
+    columns, g = _fox_columns(d)
+    if g - 1 > n:
+        return LaurentPoly(())
+    ys = []
+    for t in range(2, 2 + g):
+        minor = []
+        for a, over, c, sign in columns[: g - 1]:
+            row = [0] * g
+            if sign > 0:
+                row[a] += t
+                row[over] += 1 - t
+                row[c] -= 1
+            else:
+                row[a] += 1
+                row[over] += t - 1
+                row[c] -= t
+            minor.append(row[:-1])
+        ys.append(bareiss(minor)[0])
+    return _poly_through(ys).normalize()
+
+
+def scrambled(d: LinkDiagram, rng: random.Random) -> LinkDiagram:
+    """The same diagram with fresh arc labels and its crossings reordered;
+    both change the columns, the dropped column and row, and the pivots."""
+    labels = list(dict.fromkeys(a for arcs, _ in d.crossings for a in arcs))
+    fresh = dict(zip(labels, rng.sample(range(4 * len(labels) + 1), len(labels))))
+    crossings = [(tuple(fresh[a] for a in arcs), s) for arcs, s in d.crossings]
+    rng.shuffle(crossings)
+    return LinkDiagram(tuple(crossings), d.free_loops)
+
+
+def with_kink(d: LinkDiagram, x, under_first: bool, sign: int) -> LinkDiagram:
+    """``d`` with a Reidemeister I kink of sign ``sign`` on the arc ``x``:
+    the strand meets the new crossing first under (or first over), runs
+    round a loop and crosses itself at it again."""
+    # the slots an arc leaves a crossing by: under-out, and over-out (b at a
+    # positive crossing, d at a negative one)
+    leaving = {1: (2, 1), -1: (2, 3)}
+    x1, x2, loop = ("k", x, 1), ("k", x, 2), ("k", x, 3)
+    crossings = []
+    for arcs, s in d.crossings:
+        arcs = list(arcs)
+        for i, a in enumerate(arcs):
+            if a == x:
+                arcs[i] = x1 if i in leaving[s] else x2
+        crossings.append((tuple(arcs), s))
+    if under_first:  # in under as x1, out under into the loop, over into x2
+        kink = (x1, x2, loop, loop) if sign > 0 else (x1, loop, loop, x2)
+    else:  # in over as x1 into the loop, in under from it, out under as x2
+        kink = (loop, loop, x2, x1) if sign > 0 else (loop, x1, x2, loop)
+    crossings.append((kink, sign))
+    return LinkDiagram(tuple(crossings), d.free_loops)
+
+
+def split_union(d: LinkDiagram, e: LinkDiagram) -> LinkDiagram:
+    """The diagrams side by side, with the arcs of ``e`` relabelled apart."""
+    moved = tuple((tuple(("e", a) for a in arcs), s) for arcs, s in e.crossings)
+    return LinkDiagram(d.crossings + moved, d.free_loops + e.free_loops)
+
+
+def random_word(rng: random.Random, k: int, length: int) -> tuple:
+    return tuple(rng.choice((1, -1)) * rng.randint(1, k - 1) for _ in range(length))
+
+
+@st.composite
+def random_pd_codes(draw) -> LinkDiagram:
+    """Closures of signed braid words, sometimes with kinks and sometimes
+    beside a second closure, relabelled and reordered at random."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(2, 5))
+    d = closure(random_word(rng, k, draw(st.integers(1, 16))), k)
+    for _ in range(draw(st.integers(0, 2))):
+        x = rng.choice(rng.choice(d.crossings)[0])
+        d = with_kink(d, x, rng.random() < 0.5, rng.choice((1, -1)))
+    if draw(st.booleans()):
+        j = rng.randint(2, 3)
+        d = split_union(d, closure(random_word(rng, j, rng.randint(1, 6)), j))
+    return scrambled(d, rng)
+
+
+@st.composite
+def moved_fence_links(draw) -> LinkDiagram:
+    """Plabic links of random fences after a few random moves."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(2, 3))
+    letters = tuple(
+        (rng.choice("st"), rng.randint(1, k - 1))
+        for _ in range(draw(st.integers(1, 8)))
+    )
+    # a fence needs a letter in every strand gap (and may still fall apart)
+    letters += tuple(("s", i) for i in range(1, k) if i not in {j for _, j in letters})
+    try:
+        p = fence_of_word(FenceWord(k, letters))
+    except DisconnectedFence:
+        assume(False)
+    for _ in range(draw(st.integers(0, 4))):
+        p = apply_move(p, rng.choice(enumerate_moves(p)))
+    o = admissible_orientation(p)
+    assume(o is not None)
+    return link_of_oriented_plabic(p, o)
 
 
 class TestDiagrams:
@@ -223,6 +347,67 @@ class TestAlexander:
         for w, k in [((1, 1, 1), 2), ((1, 2, 1, 2), 3), ((1, -2, 1, -2), 3)]:
             p = alexander(w, k)
             assert p.mirror().normalize() == p
+
+
+class TestDiagramRoute:
+    """Unit-pivot elimination against the g-point route it replaced."""
+
+    @given(random_pd_codes())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_reference_on_random_pd_codes(self, d):
+        assert alexander(d) == reference_wirtinger_alexander(d)
+
+    @given(moved_fence_links())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_reference_on_moved_fences(self, d):
+        assert alexander(d) == reference_wirtinger_alexander(d)
+
+    def test_agrees_with_reference_on_fixed_diagrams(self):
+        trefoil, hopf = closure((1, 1, 1), 2), closure((1, 1), 2)
+        over_only = closure((-1, 4, -3, -4, 1), 5)  # g - 1 > n
+        # an arc of a component that never passes under
+        x = next(
+            a
+            for arcs, _ in over_only.crossings
+            for a in arcs
+            if all(arcs2.index(a) % 2 for arcs2, _ in over_only.crossings if a in arcs2)
+        )
+        kinked = [
+            with_kink(d, arc, under_first, sign)
+            for d, arc in ((trefoil, trefoil.crossings[0][0][0]), (over_only, x))
+            for under_first in (True, False)
+            for sign in (1, -1)
+        ]
+        split = [
+            split_union(trefoil, closure((1,), 2)),
+            split_union(trefoil, closure((1, -2, 1, -2), 3)),
+        ]
+        # under-in and under-out in one class: each Hopf component passes
+        # under once, and so does a kinked component that passed only over
+        # (its kink's row, with the over strand in that class too, is 0)
+        assert all(a == c != b for a, b, c, _ in _fox_columns(hopf)[0])
+        for d in kinked[4:]:
+            a, b, c, _ = _fox_columns(d)[0][-1]  # the kink
+            assert a == b == c
+        assert _fox_columns(over_only)[1] - 1 > len(over_only.crossings)
+        rng = random.Random(5)
+        cases = [closure((1,), 2), hopf, closure((-1, -1), 2), *kinked, *split, over_only]
+        for d in cases:
+            want = reference_wirtinger_alexander(d)
+            assert alexander(d) == want, d
+            for _ in range(4):
+                assert alexander(scrambled(d, rng)) == want, d
+        assert alexander(hopf) == poly(-1, 1)
+        assert all(alexander(d).is_zero for d in kinked[4:] + split + [over_only])
+
+    def test_plabic_link_of_lissajous_120_3(self):
+        """720 crossings; the g-point route took minutes at this size."""
+        s = lissajous(120, 3)
+        p = fence_of_divide(s)
+        d = link_of_oriented_plabic(p, admissible_orientation(p))
+        assert len(d.crossings) == 720
+        beta = beta_of_scannable(s)
+        assert alexander(d) == alexander(beta.letters, beta.k)
 
 
 class TestKauffman:
