@@ -15,7 +15,8 @@ triangle-push macro expressed as a move sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from ._common import Budget, DistinctByInvariant, Equivalent, Unknown, Verdict
@@ -151,10 +152,32 @@ def validate(p: PlabicGraph) -> list[str]:
     return problems
 
 
-def _require_valid(p: PlabicGraph) -> None:
+def _invalid(problem: str) -> ValueError:
+    return ValueError(f"invalid plabic graph: {problem}")
+
+
+def _require_valid(p: PlabicGraph, fail=_invalid) -> None:
+    """Raise ``fail(first problem)`` unless ``p`` passes :func:`validate`.
+    A passing verdict is kept on the instance (the fields are frozen), so
+    each graph is validated once; a failing one is never kept."""
+    if "_valid" in p.__dict__:
+        return
     problems = validate(p)
     if problems:
-        raise ValueError(f"invalid plabic graph: {problems[0]}")
+        raise fail(problems[0])
+    p.__dict__["_valid"] = True
+
+
+def _valid_graph(internal, leaves, black, edges, boundary_order, outer_dart=None):
+    """A :class:`PlabicGraph` marked valid without a check, for the result of
+    a legal move of a valid graph (see the note on the candidate generators);
+    the fields must already have their frozen types."""
+    p = object.__new__(PlabicGraph)
+    p.__dict__.update(
+        internal=internal, leaves=leaves, black=black, edges=edges,
+        boundary_order=boundary_order, outer_dart=outer_dart, _valid=True,
+    )
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +216,14 @@ class MoveDescriptor:
 
 # Each candidate generator is the one statement of its moves' precondition,
 # and on a valid graph the precondition decides legality: every candidate's
-# result is valid, so no result is validated.  A flip contracts and
-# re-expands one edge between vertices of one colour, which keeps the genus,
-# the connectivity and every edge's bicoloured status; a square move changes
-# colours only, and each outward edge it affects borders a face that still
-# has a bicoloured side on the square; a tail move changes only edges on a
-# boundary face.
+# result is valid, so no result is validated: each is built marked valid.
+# A flip contracts and re-expands one edge between vertices of one colour,
+# which keeps the genus, the connectivity and every edge's bicoloured status;
+# a square move changes colours only, and each outward edge it affects
+# borders a face that still has a bicoloured side on the square; a tail move
+# changes only edges on a boundary face.  Each generator yields its moves
+# with their builder; the tail-attach builder carries the twin map and the
+# fresh vertex ids of its listing.
 
 
 def _flip_candidates(p: PlabicGraph):
@@ -211,7 +236,7 @@ def _flip_candidates(p: PlabicGraph):
         if p.color(u) != p.color(v):
             continue
         kind = "flipBlack" if p.color(u) == "b" else "flipWhite"
-        yield MoveDescriptor(kind, (a, b))
+        yield MoveDescriptor(kind, (a, b)), _apply_flip
 
 
 def _apply_flip(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
@@ -231,7 +256,10 @@ def _apply_flip(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
     # the shared edge leaves the face on either side of it, so a mark on it
     # moves on to the next dart of that face's walk
     outer = {a: rv, b: pu}.get(p.outer_dart, p.outer_dart)
-    return replace(p, edges=new_edges, outer_dart=portmap.get(outer, outer))
+    return _valid_graph(
+        p.internal, p.leaves, p.black, new_edges, p.boundary_order,
+        portmap.get(outer, outer),
+    )
 
 
 def _square_candidates(p: PlabicGraph):
@@ -255,11 +283,14 @@ def _square_candidates(p: PlabicGraph):
         if any(sides[j] == sides[(j + 1) % 4] for j in range(4)):
             continue
         lo = f.index(min(f))
-        yield MoveDescriptor("square", tuple(f[lo:] + f[:lo]))
+        yield MoveDescriptor("square", tuple(f[lo:] + f[:lo])), _apply_square
 
 
 def _apply_square(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
-    return replace(p, black=p.black ^ {x[0] for x in m.site})
+    return _valid_graph(
+        p.internal, p.leaves, p.black ^ {x[0] for x in m.site}, p.edges,
+        p.boundary_order, p.outer_dart,
+    )
 
 
 def _tail_remove_candidates(p: PlabicGraph):
@@ -274,7 +305,7 @@ def _tail_remove_candidates(p: PlabicGraph):
             and p.color(v) != p.color(l)
             and twin[(v, (s + 1) % 3)] != (v, (s + 2) % 3)
         ):
-            yield MoveDescriptor("tailRemove", (l,))
+            yield MoveDescriptor("tailRemove", (l,)), _apply_tail_remove
 
 
 def _apply_tail_remove(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
@@ -298,20 +329,18 @@ def _apply_tail_remove(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
         cm = p.closed_map()
         f = next(f for f in cm.faces() if not cm.arc_darts.isdisjoint(f))
         outer = next(x for x in f if x not in cm.arc_darts and x[0] not in (l, v))
-    return PlabicGraph(
-        p.internal - {v},
-        p.leaves - {l},
-        p.black - {v, l},
-        frozenset(new_edges),
-        boundary,
-        outer,
+    return _valid_graph(
+        p.internal - {v}, p.leaves - {l}, p.black - {v, l}, new_edges,
+        boundary, outer,
     )
 
 
 def _tail_attach_candidates(p: PlabicGraph):
     """A dart on a boundary face, a boundary gap of that face (gap 0 when
     the graph has no leaves) and the colour of the new internal vertex."""
-    _, boundary = faces(p)
+    cm = p.closed_map()
+    _, boundary = split_faces(cm.faces(), cm.arc_darts, p.outer_dart)
+    build = partial(_apply_tail_attach, twin=cm.twin, ids=_fresh_ids(p, 2))
     for f in boundary:
         gaps = sorted({x[1] for x in f if x[0] == "~arc"})
         if not p.leaves:
@@ -320,7 +349,7 @@ def _tail_attach_candidates(p: PlabicGraph):
         for d in graph_darts:
             for gap in gaps:
                 for color in ("b", "w"):
-                    yield MoveDescriptor("tailAttach", (d, gap, color))
+                    yield MoveDescriptor("tailAttach", (d, gap, color)), build
 
 
 def _fresh_ids(p: PlabicGraph, n: int) -> list[str]:
@@ -336,50 +365,49 @@ def _fresh_ids(p: PlabicGraph, n: int) -> list[str]:
     return out
 
 
-def _apply_tail_attach(p: PlabicGraph, m: MoveDescriptor) -> PlabicGraph:
+def _apply_tail_attach(
+    p: PlabicGraph, m: MoveDescriptor, twin: dict, ids: list
+) -> PlabicGraph:
+    """Attach the tail of ``m``, given the twin map of ``p`` and two vertex
+    ids ``p`` does not use."""
     d, gap, color = m.site
-    b_ = p.twin()[d]
-    w, leaf = _fresh_ids(p, 2)
-    new_edges = set(p.edges) - {frozenset({d, b_})}
-    new_edges.add(frozenset({d, (w, 0)}))
-    new_edges.add(frozenset({(w, 2), b_}))
-    new_edges.add(frozenset({(w, 1), (leaf, 0)}))
+    b_ = twin[d]
+    w, leaf = ids
+    new_edges = p.edges.difference((frozenset({d, b_}),)).union((
+        frozenset({d, (w, 0)}),
+        frozenset({(w, 2), b_}),
+        frozenset({(w, 1), (leaf, 0)}),
+    ))
     if p.leaves:
         boundary_order = (
             p.boundary_order[: gap + 1] + (leaf,) + p.boundary_order[gap + 1 :]
         )
     else:
         boundary_order = (leaf,)
-    black = set(p.black)
-    if color == "b":
-        black.add(w)
-    else:
-        black.add(leaf)
-    return PlabicGraph(
+    return _valid_graph(
         p.internal | {w},
         p.leaves | {leaf},
-        frozenset(black),
-        frozenset(new_edges),
+        p.black | {w if color == "b" else leaf},
+        new_edges,
         boundary_order,
-        None if boundary_order else p.outer_dart,
     )
 
 
-# (kinds, candidate generator, builder), in the order moves are listed
+# (kinds, candidate generator yielding (move, builder)), in listing order
 _MOVES = (
-    (("flipWhite", "flipBlack"), _flip_candidates, _apply_flip),
-    (("square",), _square_candidates, _apply_square),
-    (("tailRemove",), _tail_remove_candidates, _apply_tail_remove),
-    (("tailAttach",), _tail_attach_candidates, _apply_tail_attach),
+    (("flipWhite", "flipBlack"), _flip_candidates),
+    (("square",), _square_candidates),
+    (("tailRemove",), _tail_remove_candidates),
+    (("tailAttach",), _tail_attach_candidates),
 )
 
 
 def _candidates(p: PlabicGraph, kinds):
     """The candidates of the given kinds (all when None), each with its
     builder; only the generators of those kinds run."""
-    for names, candidates, build in _MOVES:
+    for names, candidates in _MOVES:
         if kinds is None or any(k in kinds for k in names):
-            for m in candidates(p):
+            for m, build in candidates(p):
                 if kinds is None or m.kind in kinds:
                     yield m, build
 
@@ -417,58 +445,100 @@ def enumerate_moves(p: PlabicGraph, kinds=None) -> list[MoveDescriptor]:
 # Canonical codes and move equivalence
 
 
+# Dart tags of the canonical code: 1 at a black vertex, 2 at a white one,
+# 0 at a leaf whose colour is erased, plus 3 on the marked outer face of a
+# leafless graph, and 6 on a boundary arc; _SWAPPED[t] is the tag t after the
+# global colour swap.
+_SWAPPED = (0, 2, 1, 3, 5, 4, 6)
+
+
 def canonical_code(p: PlabicGraph, strict_boundary_colors: bool = False) -> tuple:
-    """A relabeling-invariant code of the embedded colored graph.
+    """A relabeling-invariant code of the embedded colored graph: two
+    connected graphs get equal codes exactly when they are isomorphic as
+    embedded graphs up to a global colour swap, boundary-vertex colours
+    erased unless ``strict_boundary_colors``.
 
-    Minimized over all starting darts and over the global color swap;
-    boundary-vertex colors are erased unless ``strict_boundary_colors``.
+    The darts of the closed map are numbered once.  Read from a start dart
+    under one colouring, the code lists the darts in breadth-first order
+    along rotation and twin, each as one int packing the positions of its
+    rotation successor and its twin and its tag.  It is the least such code
+    over one class of (start dart, colouring) pairs with equal local
+    signature (the tags of the dart, its twin, its successor and the
+    successor's twin): the smallest class, and of those the one of least
+    signature.  A colour swap or relabelling maps that class onto itself.
+    A start's code is compared with the best so far only while the two are
+    tied, one new row at a time, and dropped at its first larger row.
+
+    Codes are only compared, never stored: their values are not those of
+    earlier versions of this function.
     """
-    cm = p.closed_map()
-    darts, twin, rot_next, arc_darts = cm
-    outer_marks: set = set()
+    ni = 3 * len(p.internal)
+    darts = [(v, s) for v in p.internal for s in range(3)]
+    darts += [(v, 0) for v in p.leaves]
+    num = {d: i for i, d in enumerate(darts)}
+    ng = len(darts)
+    m = len(p.boundary_order)
+    n = ng + 2 * m
+    rn = [i + 1 if i % 3 != 2 else i - 2 for i in range(ni)] + [0] * (n - ni)
+    tw = [0] * n
+    for e in p.edges:
+        a, b = e
+        tw[num[a]], tw[num[b]] = num[b], num[a]
+    for j, v in enumerate(p.boundary_order):
+        a0, prev = ng + 2 * j, ng + 2 * ((j - 1) % m) + 1
+        tw[a0], tw[a0 + 1] = a0 + 1, a0
+        leaf = num[(v, 0)]
+        rn[a0], rn[leaf], rn[prev] = leaf, prev, a0
+    black = p.black
+    tag = [1 if d[0] in black else 2 for d in darts[:ni]]
+    if strict_boundary_colors:
+        tag += [1 if d[0] in black else 2 for d in darts[ni:]]
+    else:
+        tag += [0] * (ng - ni)
+    tag += [6] * (2 * m)
     if not p.leaves and p.outer_dart is not None:
-        for f in cm.faces():
-            if p.outer_dart in f:
-                outer_marks = set(f)
+        d = o = num[p.outer_dart]
+        while True:
+            tag[d] += 3
+            d = rn[tw[d]]
+            if d == o:
                 break
+    tags = (tag, [_SWAPPED[t] for t in tag])
 
-    def tag(d, swap):
-        if d in arc_darts:
-            return "a"
-        base = "o" if d in outer_marks else ""
-        v = d[0]
-        if v in p.leaves and not strict_boundary_colors:
-            return base + "e"
-        c = p.color(v)
-        if swap:
-            c = "w" if c == "b" else "b"
-        return base + c
+    classes: dict = {}
+    for t in tags:
+        for d in range(ng):
+            r = rn[d]
+            sig = ((t[d] * 7 + t[tw[d]]) * 7 + t[r]) * 7 + t[tw[r]]
+            classes.setdefault(sig, []).append((d, t))
+    _, starts = min(classes.items(), key=lambda c: (len(c[1]), c[0]))
 
-    graph_darts = [d for d in darts if d not in arc_darts]
-    best = None
-    for swap in (False, True):
-        for start in graph_darts:
-            idx = {start: 0}
-            order = [start]
-            rows = []
-            i = 0
-            while i < len(order):
-                d = order[i]
-                for e in (rot_next[d], twin[d]):
-                    if e not in idx:
-                        idx[e] = len(order)
-                        order.append(e)
-                rows.append((idx[rot_next[d]], idx[twin[d]], tag(d, swap)))
-                i += 1
-                if best is not None and tuple(rows) > best[: len(rows)]:
+    best: list = []
+    for start, t in starts:
+        idx = [-1] * n
+        idx[start] = 0
+        order = [start]
+        code = []
+        tied = bool(best)
+        for d in order:  # order grows while it is read
+            a, b = rn[d], tw[d]
+            if idx[a] < 0:
+                idx[a] = len(order)
+                order.append(a)
+            if idx[b] < 0:
+                idx[b] = len(order)
+                order.append(b)
+            row = (idx[a] * n + idx[b]) * 7 + t[d]
+            if tied:
+                old = best[len(code)]
+                if row > old:
                     break
-            else:
-                code = tuple(rows)
-                if best is None or code < best:
-                    best = code
-                continue
-            # pruned early; not minimal
-    return best
+                tied = row == old
+            code.append(row)
+        else:
+            if not tied:
+                best = code
+    return tuple(best)
 
 
 def _balance_parity(p: PlabicGraph) -> int:
@@ -630,9 +700,7 @@ def fence_of_word(w: FenceWord) -> PlabicGraph:
         frozenset(internal), frozenset(leaves), frozenset(black),
         frozenset(edges), boundary,
     )
-    problems = validate(p)
-    if problems:
-        raise DisconnectedFence(problems[0])
+    _require_valid(p, DisconnectedFence)
     return p
 
 
@@ -757,7 +825,13 @@ def _in_degree(p: PlabicGraph, v) -> int:
 def _is_admissible(p: PlabicGraph, heads) -> bool:
     """Whether ``heads`` is an admissible orientation of ``p``: exactly one
     head per edge, the degree rule at every vertex, one source and one sink
-    corner per internal face, and no directed cycle."""
+    corner per internal face, and no directed cycle.
+
+    The admissible orientation is unique, so the heads this check accepts
+    for a graph are kept on the instance and later calls compare with them."""
+    known = p.__dict__.get("_heads")
+    if known is not None:
+        return heads == known
     if len(heads) != len(p.edges) or any(len(e & heads) != 1 for e in p.edges):
         return False
     verts = p.internal | p.leaves
@@ -787,7 +861,10 @@ def _is_admissible(p: PlabicGraph, heads) -> bool:
             indeg[w] -= 1
             if not indeg[w]:
                 ready.append(w)
-    return peeled == len(verts)
+    if peeled != len(verts):
+        return False
+    p.__dict__["_heads"] = frozenset(heads)
+    return True
 
 
 def admissible_orientation(p: PlabicGraph) -> Optional[Orientation]:

@@ -82,6 +82,46 @@ def _colours_swapped(p):
     return replace(p, black=(p.internal | p.leaves) - p.black)
 
 
+def _renamed(p, names):
+    """``p`` with vertex ``v`` renamed ``names[v]``."""
+    return PlabicGraph(
+        frozenset(names[v] for v in p.internal),
+        frozenset(names[v] for v in p.leaves),
+        frozenset(names[v] for v in p.black),
+        frozenset(frozenset((names[v], s) for v, s in e) for e in p.edges),
+        tuple(names[v] for v in p.boundary_order),
+        None if p.outer_dart is None else (names[p.outer_dart[0]], p.outer_dart[1]),
+    )
+
+
+def draw_walk(data, max_letters=8, max_moves=6):
+    """A random fence of 2 to 4 strands and at most ``max_letters`` letters,
+    then up to ``max_moves`` random legal moves: every graph of the walk, or
+    [] when the fence is disconnected."""
+    k = data.draw(st.integers(2, 4))
+    letters = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from("st"), st.integers(1, k - 1)),
+            max_size=max_letters - (k - 1),
+        )
+    )
+    # a strand pair without a connector leaves the fence apart
+    letters += [("s", i) for i in range(1, k) if ("s", i) not in letters
+                and ("t", i) not in letters]
+    try:
+        p = fence_of_word(FenceWord(k, tuple(letters)))
+    except DisconnectedFence:
+        return []
+    graphs = [p]
+    for _ in range(data.draw(st.integers(0, max_moves))):
+        moves = list(_legal_moves(p))
+        if not moves:
+            break
+        p = data.draw(st.sampled_from(moves))[1]
+        graphs.append(p)
+    return graphs
+
+
 # a graph on which no admissible orientation exists even though the colors
 # are balanced: a bicolored square with a doubled side
 NO_ORIENTATION = PlabicGraph(
@@ -407,24 +447,40 @@ class TestMoves:
             assert flipped not in enumerate_moves(p)
             assert apply_move(p, flipped) == apply_move(p, m)
 
-    def test_moves_all_replayable(self):
-        p = fence(S1, S2, T1)
-        for m in enumerate_moves(p):
-            q = apply_move(p, m)
-            assert validate(q) == []
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_moves_all_replayable(self, data):
+        """Move results are marked valid without a check, so on the fence
+        s1 s2 t1 and on random fences and moved fences, every result of
+        every legal move must pass ``validate``, and ``apply_move`` must
+        build it again."""
+        for p in [fence(S1, S2, T1)] + draw_walk(data):
+            legal = list(_legal_moves(p))
+            assert [m for m, _ in legal] == enumerate_moves(p)
+            for m, q in legal:
+                assert validate(q) == [], m
+                assert apply_move(p, m) == q
 
     def test_invalid_graph_rejected(self):
+        """Every entry point rejects an invalid graph, and rejects it again
+        on a second call: a failing verdict is never kept."""
         p = fence(S1, T1)
         torn = replace(p, edges=p.edges - {min(p.edges, key=sorted)})
         m = enumerate_moves(p)[0]
-        for call in (
+        o = admissible_orientation(p)
+        calls = (
             lambda: enumerate_moves(torn),
             lambda: apply_move(torn, m),
             lambda: move_equivalent(torn, p),
             lambda: move_equivalent(p, torn),
-        ):
-            with pytest.raises(ValueError, match="invalid plabic graph"):
-                call()
+            lambda: admissible_orientation(torn),
+            lambda: transport_orientation(torn, o, m),
+            lambda: link_of_oriented_plabic(torn, o),
+        )
+        for _ in range(2):
+            for call in calls:
+                with pytest.raises(ValueError, match="invalid plabic graph"):
+                    call()
 
     def test_flip_keeps_the_outer_face(self):
         """On a leafless graph, a flip of an edge of the marked outer face
@@ -478,24 +534,10 @@ class TestMoves:
         black-white pairs, the listing from the preconditions is the
         build-and-validate listing it replaced; a recolouring that fails
         ``validate`` is refused."""
-        k = data.draw(st.integers(2, 4))
-        letters = data.draw(
-            st.lists(
-                st.tuples(st.sampled_from("st"), st.integers(1, k - 1)),
-                max_size=8 - (k - 1),
-            )
-        )
-        # a strand pair without a connector leaves the fence apart
-        letters += [("s", i) for i in range(1, k) if ("s", i) not in letters
-                    and ("t", i) not in letters]
-        try:
-            p = fence_of_word(FenceWord(k, tuple(letters)))
-        except DisconnectedFence:
+        graphs = draw_walk(data)
+        if not graphs:
             return
-        graphs = [p]
-        for _ in range(data.draw(st.integers(0, 6))):
-            p = data.draw(st.sampled_from(list(_legal_moves(p))))[1]
-            graphs.append(p)
+        p = graphs[-1]
         graphs += [_colours_swapped(q) for q in graphs]
         verts = sorted(p.internal | p.leaves)
         for _ in range(data.draw(st.integers(0, 3))):
@@ -555,16 +597,7 @@ class TestMoveEquivalence:
 
     def test_canonical_code_relabel_invariant(self):
         p = fence(S1, T1)
-        ren = {v: f"z{v}" for v in p.internal | p.leaves}
-        q = PlabicGraph(
-            frozenset(ren[v] for v in p.internal),
-            frozenset(ren[v] for v in p.leaves),
-            frozenset(ren[v] for v in p.black),
-            frozenset(
-                frozenset((ren[v], s) for v, s in e) for e in p.edges
-            ),
-            tuple(ren[v] for v in p.boundary_order),
-        )
+        q = _renamed(p, {v: f"z{v}" for v in p.internal | p.leaves})
         assert canonical_code(q) == canonical_code(p)
 
     def test_canonical_code_color_swap(self):
@@ -582,6 +615,35 @@ class TestMoveEquivalence:
             q, strict_boundary_colors=True
         ) == canonical_code(p, strict_boundary_colors=True)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_canonical_code_agrees_with_reference(self, data):
+        """Two graphs get equal codes exactly when they get equal reference
+        codes, strict and not: the graphs of two random walks from random
+        fences, each with a copy under renamed vertex ids and a copy with
+        every colour swapped."""
+        graphs = draw_walk(data) + draw_walk(data)
+        for p in graphs[:]:
+            verts = sorted(p.internal | p.leaves)
+            order = data.draw(st.permutations(range(len(verts))))
+            graphs.append(_renamed(p, {v: f"r{i}" for v, i in zip(verts, order)}))
+            graphs.append(_colours_swapped(p))
+        assert_codes_agree(graphs)
+
+    def test_canonical_code_agrees_with_reference_on_leafless_graphs(self):
+        """The tetrahedron with each of its darts marking the outer face,
+        its flips, and renamed and colour-swapped copies: the code sees
+        which face is marked."""
+        graphs = []
+        for outer in sorted(TETRAHEDRON.twin()):
+            p = replace(TETRAHEDRON, outer_dart=outer)
+            graphs += [p] + [q for _, q in _legal_moves(p) if not q.leaves]
+        names = {v: "dcba"["abcd".index(v)] for v in "abcd"}
+        graphs += [_renamed(p, names) for p in graphs]
+        graphs += [_colours_swapped(p) for p in graphs]
+        assert all(validate(p) == [] for p in graphs)
+        assert_codes_agree(graphs)
+
     def test_strict_code_sees_leaf_colors(self):
         p = fence(S1, S1)
         q = PlabicGraph(
@@ -595,6 +657,68 @@ class TestMoveEquivalence:
         assert canonical_code(
             q, strict_boundary_colors=True
         ) != canonical_code(p, strict_boundary_colors=True)
+
+
+def reference_canonical_code(p: PlabicGraph, strict_boundary_colors: bool = False) -> tuple:
+    """The breadth-first code the integer code replaced, kept as a
+    reference: from every graph dart under both colourings, it rebuilds the
+    compared prefix and recomputes each dart's tag on every visit."""
+    cm = p.closed_map()
+    darts, twin, rot_next, arc_darts = cm
+    outer_marks: set = set()
+    if not p.leaves and p.outer_dart is not None:
+        for f in cm.faces():
+            if p.outer_dart in f:
+                outer_marks = set(f)
+                break
+
+    def tag(d, swap):
+        if d in arc_darts:
+            return "a"
+        base = "o" if d in outer_marks else ""
+        v = d[0]
+        if v in p.leaves and not strict_boundary_colors:
+            return base + "e"
+        c = p.color(v)
+        if swap:
+            c = "w" if c == "b" else "b"
+        return base + c
+
+    graph_darts = [d for d in darts if d not in arc_darts]
+    best = None
+    for swap in (False, True):
+        for start in graph_darts:
+            idx = {start: 0}
+            order = [start]
+            rows = []
+            i = 0
+            while i < len(order):
+                d = order[i]
+                for e in (rot_next[d], twin[d]):
+                    if e not in idx:
+                        idx[e] = len(order)
+                        order.append(e)
+                rows.append((idx[rot_next[d]], idx[twin[d]], tag(d, swap)))
+                i += 1
+                if best is not None and tuple(rows) > best[: len(rows)]:
+                    break
+            else:
+                code = tuple(rows)
+                if best is None or code < best:
+                    best = code
+    return best
+
+
+def assert_codes_agree(graphs):
+    """Equal codes exactly for equal reference codes, strict and not."""
+    for strict in (False, True):
+        to_ref: dict = {}
+        to_new: dict = {}
+        for p in graphs:
+            new = canonical_code(p, strict)
+            ref = reference_canonical_code(p, strict)
+            assert to_ref.setdefault(new, ref) == ref
+            assert to_new.setdefault(ref, new) == new
 
 
 class TestQuiverUnderMoves:
@@ -704,21 +828,33 @@ class TestOrientations:
         assert admissible_orientation(NO_ORIENTATION) is None
         assert admissible_orientation(UNORIENTABLE) is None
 
-    def test_rejections(self):
-        p = fence(S1, T1, S1)
-        heads = admissible_orientation(p).heads
-        twin = p.twin()
-        h = min(heads)
-        bad = [heads - {x} | {twin[x]} for x in heads]  # one edge reversed
-        bad.append(heads | {twin[h]})  # both darts of one edge
-        bad.append(heads - {h} | {("zz", 0)})  # a dart not in the graph
-        bad.append(heads - {h})  # one head missing
-        m = enumerate_moves(p)[0]
-        for hs in bad:
-            with pytest.raises(ValueError, match="not admissible"):
-                link_of_oriented_plabic(p, Orientation(frozenset(hs)))
-            with pytest.raises(ValueError, match="not admissible"):
-                transport_orientation(p, Orientation(frozenset(hs)), m)
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rejections(self, data):
+        """Once a graph's orientation is computed, and its heads kept on the
+        graph, ``link_of_oriented_plabic`` and ``transport_orientation``
+        still refuse heads with one edge reversed, both darts of one edge, a
+        stray dart or a missing head: on the fence s1 t1 s1 and on random
+        fences and moved fences."""
+        for p in [fence(S1, T1, S1)] + draw_walk(data, max_moves=3):
+            o = admissible_orientation(p)
+            if o is None:
+                continue
+            heads = o.heads
+            twin = p.twin()
+            h = min(heads)
+            bad = [heads - {x} | {twin[x]} for x in heads]  # one edge reversed
+            bad.append(heads | {twin[h]})  # both darts of one edge
+            bad.append(heads - {h} | {("zz", 0)})  # a dart not in the graph
+            bad.append(heads - {h})  # one head missing
+            m = enumerate_moves(p)[0]
+            for hs in bad:
+                assert not _is_admissible(p, hs)
+                with pytest.raises(ValueError, match="not admissible"):
+                    link_of_oriented_plabic(p, Orientation(frozenset(hs)))
+                with pytest.raises(ValueError, match="not admissible"):
+                    transport_orientation(p, Orientation(frozenset(hs)), m)
+            assert _is_admissible(p, heads)
 
     def test_face_condition(self):
         """Recoloured, the square fence has an orientation that meets the
@@ -809,27 +945,10 @@ class TestOrientations:
         three black-white pairs, the solver returns what the recursive search
         did.  Forcing decides every fence and moved fence; the recolourings
         are where it stalls, and where the recursive search branches."""
-        k = data.draw(st.integers(2, 4))
-        letters = data.draw(
-            st.lists(
-                st.tuples(st.sampled_from("st"), st.integers(1, k - 1)),
-                max_size=14 - (k - 1),
-            )
-        )
-        # a strand pair without a connector leaves the fence apart
-        letters += [("s", i) for i in range(1, k) if ("s", i) not in letters
-                    and ("t", i) not in letters]
-        try:
-            p = fence_of_word(FenceWord(k, tuple(letters)))
-        except DisconnectedFence:
+        graphs = draw_walk(data, max_letters=14)
+        if not graphs:
             return
-        graphs = [p]
-        for _ in range(data.draw(st.integers(0, 6))):
-            moves = list(_legal_moves(p))
-            if not moves:
-                break
-            p = data.draw(st.sampled_from(moves))[1]
-            graphs.append(p)
+        p = graphs[-1]
         graphs += [_colours_swapped(q) for q in graphs]
         verts = sorted(p.internal | p.leaves)
         for _ in range(data.draw(st.integers(0, 3))):
