@@ -168,15 +168,11 @@ def _require_valid(p: PlabicGraph, fail=_invalid) -> None:
     p.__dict__["_valid"] = True
 
 
-def _valid_graph(internal, leaves, black, edges, boundary_order, outer_dart=None):
+def _valid_graph(*fields) -> PlabicGraph:
     """A :class:`PlabicGraph` marked valid without a check, for the result of
-    a legal move of a valid graph (see the note on the candidate generators);
-    the fields must already have their frozen types."""
-    p = object.__new__(PlabicGraph)
-    p.__dict__.update(
-        internal=internal, leaves=leaves, black=black, edges=edges,
-        boundary_order=boundary_order, outer_dart=outer_dart, _valid=True,
-    )
+    a legal move of a valid graph (see the note on the candidate generators)."""
+    p = PlabicGraph(*fields)
+    p.__dict__["_valid"] = True
     return p
 
 
@@ -823,15 +819,22 @@ def _in_degree(p: PlabicGraph, v) -> int:
 
 
 def _is_admissible(p: PlabicGraph, heads) -> bool:
-    """Whether ``heads`` is an admissible orientation of ``p``: exactly one
-    head per edge, the degree rule at every vertex, one source and one sink
-    corner per internal face, and no directed cycle.
-
-    The admissible orientation is unique, so the heads this check accepts
+    """Whether ``heads`` is the admissible orientation of ``p`` (see
+    :func:`_check_heads`).  That orientation is unique, so the heads accepted
     for a graph are kept on the instance and later calls compare with them."""
     known = p.__dict__.get("_heads")
     if known is not None:
         return heads == known
+    if not _check_heads(p, heads):
+        return False
+    p.__dict__["_heads"] = frozenset(heads)
+    return True
+
+
+def _check_heads(p: PlabicGraph, heads) -> bool:
+    """Whether ``heads`` is an admissible orientation of ``p``: exactly one
+    head per edge, the degree rule at every vertex, one source and one sink
+    corner per internal face, and no directed cycle.  Nothing is kept."""
     if len(heads) != len(p.edges) or any(len(e & heads) != 1 for e in p.edges):
         return False
     verts = p.internal | p.leaves
@@ -861,10 +864,7 @@ def _is_admissible(p: PlabicGraph, heads) -> bool:
             indeg[w] -= 1
             if not indeg[w]:
                 ready.append(w)
-    if peeled != len(verts):
-        return False
-    p.__dict__["_heads"] = frozenset(heads)
-    return True
+    return peeled == len(verts)
 
 
 def admissible_orientation(p: PlabicGraph) -> Optional[Orientation]:

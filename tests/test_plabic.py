@@ -32,6 +32,7 @@ from morsify.plabic import (
     SiteNotFound,
     _LETTERS,
     _candidates,
+    _check_heads,
     _in_degree,
     _is_admissible,
     _legal_moves,
@@ -820,7 +821,7 @@ class TestOrientations:
             found = [
                 heads
                 for choice in product(*free)
-                if _is_admissible(p, heads := forced.union(choice))
+                if _check_heads(p, heads := forced.union(choice))
             ]
             assert len(found) <= 1
             o = admissible_orientation(p)
@@ -831,12 +832,14 @@ class TestOrientations:
     @given(st.data())
     @settings(max_examples=25, deadline=None)
     def test_rejections(self, data):
-        """Once a graph's orientation is computed, and its heads kept on the
-        graph, ``link_of_oriented_plabic`` and ``transport_orientation``
-        still refuse heads with one edge reversed, both darts of one edge, a
-        stray dart or a missing head: on the fence s1 t1 s1 and on random
-        fences and moved fences."""
+        """Heads with one edge reversed, both darts of one edge, a stray dart
+        or a missing head are refused by the full check, on a copy of the
+        graph with no kept heads, and, once the graph's orientation is
+        computed and its heads kept, by ``_is_admissible``,
+        ``link_of_oriented_plabic`` and ``transport_orientation``: on the
+        fence s1 t1 s1 and on random fences and moved fences."""
         for p in [fence(S1, T1, S1)] + draw_walk(data, max_moves=3):
+            fresh = replace(p)
             o = admissible_orientation(p)
             if o is None:
                 continue
@@ -849,12 +852,17 @@ class TestOrientations:
             bad.append(heads - {h})  # one head missing
             m = enumerate_moves(p)[0]
             for hs in bad:
+                assert not _check_heads(p, hs)
+                assert not _is_admissible(fresh, hs)
+                assert "_heads" not in fresh.__dict__
                 assert not _is_admissible(p, hs)
                 with pytest.raises(ValueError, match="not admissible"):
                     link_of_oriented_plabic(p, Orientation(frozenset(hs)))
                 with pytest.raises(ValueError, match="not admissible"):
                     transport_orientation(p, Orientation(frozenset(hs)), m)
+            assert _check_heads(p, heads)
             assert _is_admissible(p, heads)
+            assert _is_admissible(fresh, heads)
 
     def test_face_condition(self):
         """Recoloured, the square fence has an orientation that meets the
@@ -1032,7 +1040,7 @@ def reference_orientation(p: PlabicGraph):
         undecided = [e for e in edge_list if e not in heads]
         if not undecided:
             hs = set(heads.values())
-            result = hs if _is_admissible(p, hs) else None
+            result = hs if _check_heads(p, hs) else None
             for e in trail:
                 unset_head(e)
             return result
